@@ -2,7 +2,7 @@
 
 Subcommands map one-to-one onto library operations; inputs are JSON files
 (quivers, representations) or inline JSON (dimension vectors); all reports
-are deterministic given the input and seed.
+are deterministic given the input.
 
 Exit codes: 0 when the command succeeds and any check it ran holds; 2 when a
 check ran and failed (for example a violated submodule condition); 1 for
@@ -33,6 +33,7 @@ from .exactlinalg import BudgetExceeded, DEFAULT_BUDGET, FieldSpec
 from .grassmann import count_submodules, enumerate_submodules
 from .homext import ext1, euler_form, hom_ext_dims, is_brick
 from .quiverrep import (
+    dimvec_from_json,
     quiver_from_json,
     representation_from_json,
     representation_to_json,
@@ -87,12 +88,7 @@ def _load_quiver(path: str):
 
 def _parse_dimvec(text: str, quiver):
     data = _parse_inline_json(text, "dimension vector")
-    if not isinstance(data, dict):
-        raise InputError("dimension vector must be a JSON object")
-    try:
-        return {v: int(data[v]) for v in quiver.vertices}
-    except KeyError as exc:
-        raise InputError(f"dimension vector is missing vertex {exc.args[0]!r}")
+    return dimvec_from_json(quiver, data, "dimension vector")
 
 
 def _render_text(data, indent: int = 0) -> str:
@@ -127,12 +123,8 @@ def _emit(data: dict, output: str) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized fallbacks (default 0)")
     common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="enumeration work budget")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallel partitions for enumeration")
     common.add_argument("--count-only", action="store_true",
                         help="omit point lists from reports")
     common.add_argument("--output", choices=("json", "text"), default="json")
@@ -250,10 +242,10 @@ def _cmd_grassmannian(args) -> int:
     m = _load_representation(args.rep)
     d = _parse_dimvec(args.dimvec, m.quiver)
     if args.mode == "count":
-        count = count_submodules(m, d, budget=args.budget, jobs=args.jobs)
+        count = count_submodules(m, d, budget=args.budget)
         _emit({"count": count, "dimvec": dict(sorted(d.items()))}, args.output)
     else:
-        report = enumerate_submodules(m, d, budget=args.budget, jobs=args.jobs)
+        report = enumerate_submodules(m, d, budget=args.budget)
         _emit(report.to_json(count_only=args.count_only), args.output)
     return 0
 
@@ -277,21 +269,21 @@ def _cmd_check_c(args) -> int:
     ctx = _context_from_files(args)
     n_rep = _load_representation(args.nrep)
     witness = build_eta(ctx, n_rep)
-    report = check_condition_C(ctx, witness, budget=args.budget, jobs=args.jobs)
+    report = check_condition_C(ctx, witness, budget=args.budget)
     _emit(report.to_json(count_only=args.count_only), args.output)
     return 0 if report.holds else 2
 
 
 def _cmd_check_lemma1(args) -> int:
     x = _load_representation(args.x)
-    report = check_lemma1(x, args.a, budget=args.budget, jobs=args.jobs)
+    report = check_lemma1(x, args.a, budget=args.budget)
     _emit(report.to_json(count_only=args.count_only), args.output)
     return 0 if report.holds else 2
 
 
 def _cmd_check_lemma2(args) -> int:
     x = _load_representation(args.x)
-    report = check_lemma2(x, args.a, budget=args.budget, jobs=args.jobs)
+    report = check_lemma2(x, args.a, budget=args.budget)
     _emit(report.to_json(count_only=args.count_only), args.output)
     return 0 if report.holds else 2
 
@@ -299,7 +291,7 @@ def _cmd_check_lemma2(args) -> int:
 def _cmd_bijection(args) -> int:
     ctx = _context_from_files(args)
     n_rep = _load_representation(args.nrep)
-    report = check_bijection(ctx, n_rep, budget=args.budget, jobs=args.jobs)
+    report = check_bijection(ctx, n_rep, budget=args.budget)
     _emit(report.to_json(), args.output)
     return 0 if report.equal else 2
 
@@ -313,8 +305,8 @@ def _cmd_demo(args) -> int:
         ctx = case2_instance(field, n=args.n, lambdas=lambdas)
         n_rep = coordinate_inclusion_N(field, ctx.n)
         witness = build_eta(ctx, n_rep)
-        creport = check_condition_C(ctx, witness, budget=args.budget, jobs=args.jobs)
-        breport = check_bijection(ctx, n_rep, budget=args.budget, jobs=args.jobs)
+        creport = check_condition_C(ctx, witness, budget=args.budget)
+        breport = check_bijection(ctx, n_rep, budget=args.budget)
         _emit({"n": ctx.n,
                "condition_c": creport.to_json(count_only=args.count_only),
                "bijection": breport.to_json()}, args.output)
@@ -323,14 +315,13 @@ def _cmd_demo(args) -> int:
         ctx = case1_instance(field)
         n_rep = regular_N(field)
         witness = build_eta(ctx, n_rep)
-        creport = check_condition_C(ctx, witness, budget=args.budget, jobs=args.jobs)
-        breport = check_bijection(ctx, n_rep, budget=args.budget, jobs=args.jobs)
+        creport = check_condition_C(ctx, witness, budget=args.budget)
+        breport = check_bijection(ctx, n_rep, budget=args.budget)
         _emit({"n": ctx.n,
                "condition_c": creport.to_json(count_only=args.count_only),
                "bijection": breport.to_json()}, args.output)
         return 0 if creport.holds and breport.equal else 2
-    report = remark_counterexample_demo(field, b=args.b, budget=args.budget,
-                                        jobs=args.jobs)
+    report = remark_counterexample_demo(field, b=args.b, budget=args.budget)
     _emit(report.to_json(count_only=args.count_only), args.output)
     # the interesting outcome is a failing condition (C): report it as a
     # failed check so scripts can distinguish it from "nothing found"

@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import product as iproduct
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactlinalg import (
     DEFAULT_BUDGET,
-    BudgetExceeded,
     FieldSpec,
     Matrix,
     block2x2,
@@ -36,6 +34,8 @@ from .homext import (
     hom_basis,
     hom_ext_dims,
     has_brick_summand,
+    is_brick,
+    is_brick_power,
     is_reduced_kronecker,
 )
 from .quiverrep import (
@@ -46,7 +46,7 @@ from .quiverrep import (
     Representation,
     SubmodulePoint,
     dim_add,
-    is_isomorphic,
+    image_point,
     kronecker_shape,
     make_kronecker,
     quotient_representation,
@@ -306,94 +306,40 @@ def build_eta(ctx: EtaContext, n_rep: Representation) -> EtaWitness:
 # E-bristles and condition (C)
 # ---------------------------------------------------------------------------
 
-def _injective_hom_with_quotient(ctx: EtaContext, u: Representation,
-                                 budget: int) -> bool:
-    """Is there an injective map ctx.x -> u whose cokernel is ctx.y?"""
+def _injective_hom_with_quotient(ctx: EtaContext, u: Representation) -> bool:
+    """Is there an injective map ctx.x -> u whose cokernel is ctx.y?
+
+    Such a map spans Hom(ctx.x, u) (see is_E_bristle), so only a one
+    dimensional Hom space can carry one, and its basis vector is the map.
+    As u has dimension vector x+y, the cokernel has that of y exactly when
+    the map is injective.
+    """
     basis = hom_basis(ctx.x, u).basis
-    k = len(basis)
-    if k == 0:
+    if len(basis) != 1:
         return False
-    field = u.field
-    x = ctx.x
-    verts = list(u.quiver.vertices)
-
-    def try_coeffs(coeffs) -> bool:
-        maps = {}
-        for v in verts:
-            acc = Matrix.zeros(field, u.dims[v], x.dims[v])
-            for c, f in zip(coeffs, basis):
-                if c != 0:
-                    acc = acc + f.maps[v].scale(c)
-            maps[v] = acc
-        if any(maps[v].rank() != x.dims[v] for v in verts):
-            return False
-        point = SubmodulePoint(u, {v: row_space(maps[v].transpose()) for v in verts})
-        quot, _ = quotient_representation(point)
-        return is_isomorphic(quot, ctx.y)
-
-    if not field.is_prime:
-        raise ValueError("bristle detection implemented over prime fields only")
-    p = field.p
-    total = (p ** k - 1) // (p - 1)
-    if total > budget:
-        raise BudgetExceeded(f"{total} morphism candidates exceed budget {budget}")
-    # injectivity and the induced quotient are scalar invariant, so scan
-    # only combinations whose first nonzero coefficient is 1
-    for lead in range(k):
-        for tail in iproduct(range(p), repeat=k - lead - 1):
-            if try_coeffs((0,) * lead + (1,) + tail):
-                return True
-    return False
+    quot, _ = quotient_representation(image_point(basis[0]))
+    return is_brick_power(quot, ctx.y, 1)
 
 
-def _is_indecomposable(u: Representation, budget: int) -> bool:
-    """No idempotent endomorphisms besides zero and the identity."""
-    if u.is_zero:
-        return False
-    basis = hom_basis(u, u).basis
-    k = len(basis)
-    if k == 1:
-        return True   # brick
-    field = u.field
-    if not field.is_prime:
-        raise ValueError("idempotent search implemented over prime fields only")
-    p = field.p
-    if p ** k > budget:
-        raise BudgetExceeded(f"endomorphism ring of size {p}^{k} exceeds budget")
-    verts = list(u.quiver.vertices)
-    ident = {v: Matrix.identity(field, u.dims[v]) for v in verts}
-    for coeffs in iproduct(range(p), repeat=k):
-        maps = {}
-        for v in verts:
-            acc = Matrix.zeros(field, u.dims[v], u.dims[v])
-            for c, f in zip(coeffs, basis):
-                if c != 0:
-                    acc = acc + f.maps[v].scale(c)
-            maps[v] = acc
-        if all(m.is_zero for m in maps.values()):
-            continue
-        if maps == ident:
-            continue
-        if all(maps[v] * maps[v] == maps[v] for v in verts):
-            return False
-    return True
-
-
-def is_E_bristle(ctx: EtaContext, u: Representation,
-                 budget: int = DEFAULT_BUDGET) -> bool:
+def is_E_bristle(ctx: EtaContext, u: Representation) -> bool:
     """Indecomposable middle term of a single-X, single-Y exact sequence.
 
     Checks, in order: dimension vector equals xdim + ydim; some injective
-    morphism from ctx.x has cokernel isomorphic to ctx.y; u is indecomposable.
+    morphism from ctx.x has cokernel isomorphic to ctx.y; u is a brick.
+
+    For a middle term u of 0 -> X -> u -> Y -> 0, applying Hom(X, -) gives
+    Hom(X, u) = Hom(X, X) = k because Hom(X, Y) = 0, so the inclusion is the
+    only candidate up to scalars.  Such a u is indecomposable exactly when it
+    is a brick: an endomorphism f acts on X by a scalar c and induces a
+    scalar c' on Y; if c' != c then (f - c)/(c' - c) splits the sequence,
+    and if c' = c then f - c factors through Hom(Y, X) = 0.
     """
     if u.quiver != ctx.x.quiver or u.field != ctx.x.field:
         raise ValueError("candidate lives on the wrong quiver or field")
     want = dim_add(ctx.xdim, ctx.ydim)
     if u.dims != want:
         return False
-    if not _injective_hom_with_quotient(ctx, u, budget):
-        return False
-    return _is_indecomposable(u, budget)
+    return _injective_hom_with_quotient(ctx, u) and is_brick(u)
 
 
 @dataclass(frozen=True)
@@ -415,7 +361,7 @@ class ConditionCReport:
 
 
 def check_condition_C(ctx: EtaContext, witness: EtaWitness,
-                      budget: int = DEFAULT_BUDGET, jobs: int = 1) -> ConditionCReport:
+                      budget: int = DEFAULT_BUDGET) -> ConditionCReport:
     """Are all submodules of dimension vector x+y of the witness E-bristles?
 
     The witness must be reduced (no direct summand isomorphic to ctx.y);
@@ -425,11 +371,11 @@ def check_condition_C(ctx: EtaContext, witness: EtaWitness,
     if has_brick_summand(witness.m, ctx.y):
         raise NotReduced("the witness has a direct summand isomorphic to the Y brick")
     d = dim_add(ctx.xdim, ctx.ydim)
-    report = enumerate_submodules(witness.m, d, budget=budget, jobs=jobs)
+    report = enumerate_submodules(witness.m, d, budget=budget)
     violations = []
     for pt in report.points:
         sub, _ = sub_representation(pt)
-        if not is_E_bristle(ctx, sub, budget=budget):
+        if not is_E_bristle(ctx, sub):
             violations.append(pt)
     return ConditionCReport(not violations, report.count, tuple(violations))
 
@@ -458,17 +404,20 @@ class SubmoduleIsoReport:
         return data
 
 
-def check_lemma1(x: Representation, a: int, budget: int = DEFAULT_BUDGET,
-                 jobs: int = 1) -> SubmoduleIsoReport:
-    """Every submodule of x^a with the dimension vector of x is a copy of x."""
+def check_lemma1(x: Representation, a: int,
+                 budget: int = DEFAULT_BUDGET) -> SubmoduleIsoReport:
+    """Every submodule of x^a with the dimension vector of x is a copy of x.
+
+    x must be a brick; each submodule is compared with x by is_brick_power.
+    """
     if a < 1:
         raise ValueError("need at least one copy")
     xa = rep_power(x, a)
-    report = enumerate_submodules(xa, x.dim_vector, budget=budget, jobs=jobs)
+    report = enumerate_submodules(xa, x.dim_vector, budget=budget)
     failures = []
     for pt in report.points:
         sub, _ = sub_representation(pt)
-        if not is_isomorphic(sub, x):
+        if not is_brick_power(sub, x, 1):
             failures.append(pt)
     return SubmoduleIsoReport(not failures, report.count, tuple(failures))
 
@@ -486,14 +435,14 @@ class Lemma2Report:
         return data
 
 
-def check_lemma2(x: Representation, a: int, budget: int = DEFAULT_BUDGET,
-                 jobs: int = 1) -> Lemma2Report:
+def check_lemma2(x: Representation, a: int,
+                 budget: int = DEFAULT_BUDGET) -> Lemma2Report:
     """Square-dimension submodules of x^a are powers of x.
 
-    x must be a Kronecker-shaped module with equal vertex dimensions (n, n).
+    x must be a Kronecker-shaped brick with equal vertex dimensions (n, n).
     For every w from 0 to a*n, all (w,w)-submodules of x^a must be isomorphic
-    to x^s with w = s*n; in particular none may exist when n does not
-    divide w.
+    to x^s with w = s*n (tested by is_brick_power); in particular none may
+    exist when n does not divide w.
     """
     shape = kronecker_shape(x.quiver)
     if shape is None:
@@ -509,7 +458,7 @@ def check_lemma2(x: Representation, a: int, budget: int = DEFAULT_BUDGET,
     failures: List[Tuple[int, SubmodulePoint]] = []
     for w in range(a * n + 1):
         d = {src: w, tgt: w}
-        report = enumerate_submodules(xa, d, budget=budget, jobs=jobs)
+        report = enumerate_submodules(xa, d, budget=budget)
         counts[w] = report.count
         divisible = (w == 0) if n == 0 else (w % n == 0)
         if not divisible:
@@ -517,10 +466,9 @@ def check_lemma2(x: Representation, a: int, budget: int = DEFAULT_BUDGET,
                 failures.extend((w, pt) for pt in report.points)
             continue
         s = w // n if n else 0
-        power = rep_power(x, s)
         for pt in report.points:
             sub, _ = sub_representation(pt)
-            if not is_isomorphic(sub, power):
+            if not is_brick_power(sub, x, s):
                 failures.append((w, pt))
     return Lemma2Report(not failures, counts, tuple(failures))
 
@@ -558,16 +506,16 @@ class BijectionReport:
 
 
 def check_bijection(ctx: EtaContext, n_rep: Representation,
-                    budget: int = DEFAULT_BUDGET, jobs: int = 1) -> BijectionReport:
+                    budget: int = DEFAULT_BUDGET) -> BijectionReport:
     """Compare |G_{(1,1)}(N)| with |G_{x+y}(eta N)| for reduced N."""
     if not is_reduced_kronecker(n_rep):
         raise NotReduced("the Kronecker representation has a simple injective summand")
     shape = kronecker_shape(n_rep.quiver)
     src, tgt, _ = shape
-    lhs = count_submodules(n_rep, {src: 1, tgt: 1}, budget=budget, jobs=jobs)
+    lhs = count_submodules(n_rep, {src: 1, tgt: 1}, budget=budget)
     witness = build_eta(ctx, n_rep)
     d = dim_add(ctx.xdim, ctx.ydim)
-    rhs = count_submodules(witness.m, d, budget=budget, jobs=jobs)
+    rhs = count_submodules(witness.m, d, budget=budget)
     return BijectionReport(lhs, rhs, lhs == rhs)
 
 
@@ -666,8 +614,7 @@ class RemarkReport:
 
 
 def remark_counterexample_demo(field: FieldSpec, b: int = 1,
-                               budget: int = DEFAULT_BUDGET,
-                               jobs: int = 1) -> RemarkReport:
+                               budget: int = DEFAULT_BUDGET) -> RemarkReport:
     """Exhibit the failure of the submodule condition for the nilpotent pair.
 
     Builds the context from the (2,2) brick with nilpotent third arrow,
@@ -685,8 +632,8 @@ def remark_counterexample_demo(field: FieldSpec, b: int = 1,
     witness = build_eta(ctx, n_rep)
     point = _x_plus_v_point(ctx, witness)
     sub, _ = sub_representation(point)
-    point_is_bristle = is_E_bristle(ctx, sub, budget=budget)
-    report = check_condition_C(ctx, witness, budget=budget, jobs=jobs)
+    point_is_bristle = is_E_bristle(ctx, sub)
+    report = check_condition_C(ctx, witness, budget=budget)
     is_violation = point in report.violations
     found = (not point_is_bristle) and is_violation and not report.holds
     return RemarkReport(report, point, is_violation, found)

@@ -585,10 +585,12 @@ def scalar_to_json(field: FieldSpec, x: Scalar):
 def scalar_from_json(field: FieldSpec, data) -> Scalar:
     if isinstance(data, str):
         if "/" in data:
-            num, den = data.split("/", 1)
-            return field.coerce(Fraction(int(num), int(den)))
+            num, den = (int(t) for t in data.split("/", 1))
+            if den == 0:
+                raise ValueError(f"zero denominator in scalar {data!r}")
+            return field.coerce(Fraction(num, den))
         return field.coerce(int(data))
-    if isinstance(data, int):
+    if isinstance(data, int) and not isinstance(data, bool):
         return field.coerce(data)
     raise ValueError(f"bad scalar {data!r}")
 

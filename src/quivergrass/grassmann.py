@@ -19,8 +19,6 @@ Counts are exact point counts over F_p.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -51,19 +49,17 @@ SCAN_THRESHOLD = 200_000
 
 
 class _Budget:
-    """Thread-safe work counter; work units are candidate subspaces examined."""
+    """Work counter; work units are candidate subspaces examined."""
 
     def __init__(self, limit: int) -> None:
         self.limit = limit
         self.used = 0
-        self._lock = threading.Lock()
 
     def charge(self, amount: int = 1) -> None:
-        with self._lock:
-            self.used += amount
-            if self.used > self.limit:
-                raise BudgetExceeded(
-                    f"enumeration budget of {self.limit} work units exceeded")
+        self.used += amount
+        if self.used > self.limit:
+            raise BudgetExceeded(
+                f"enumeration budget of {self.limit} work units exceeded")
 
 
 @dataclass(frozen=True)
@@ -139,30 +135,12 @@ def _scan_rec(m: Representation, d: DimVector, order: List[str], idx: int,
 
 
 def _enumerate_scan(m: Representation, d: DimVector, budget: _Budget,
-                    jobs: int, materialize: bool) -> Tuple[int, list]:
+                    materialize: bool) -> Tuple[int, list]:
     order = m.quiver.topological_order()
     out: Optional[list] = [] if materialize else None
     counter = [0]
-    if jobs <= 1 or len(order) == 1:
-        _scan_rec(m, d, order, 0, {}, budget, out, counter)
-        return counter[0], (out or [])
-    # partition on the choice at the first vertex; each branch is independent
-    first = order[0]
-    heads = list(_scan_candidates(m, d, order, 0, {}, budget))
-
-    def run_branch(s: Matrix) -> Tuple[int, list]:
-        branch_out: Optional[list] = [] if materialize else None
-        branch_counter = [0]
-        _scan_rec(m, d, order, 1, {first: s}, budget, branch_out, branch_counter)
-        return branch_counter[0], (branch_out or [])
-
-    total = 0
-    merged: list = []
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for cnt, pts in pool.map(run_branch, heads):
-            total += cnt
-            merged.extend(pts)
-    return total, merged
+    _scan_rec(m, d, order, 0, {}, budget, out, counter)
+    return counter[0], (out or [])
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +245,8 @@ def _first_vertex_cost(m: Representation, d: DimVector) -> int:
     return gaussian_binomial(m.dims[v], d[v], m.field.p)
 
 
-def _run(m: Representation, d: DimVector, budget_limit: int, jobs: int,
-         materialize: bool, strategy: Optional[str]) -> Tuple[int, list]:
+def _run(m: Representation, d: DimVector, budget_limit: int, materialize: bool,
+         strategy: Optional[str]) -> Tuple[int, list]:
     _check_enumeration_input(m, d)
     budget = _Budget(budget_limit)
     setup = _invariant_setup(m, d)
@@ -277,33 +255,33 @@ def _run(m: Representation, d: DimVector, budget_limit: int, jobs: int,
             raise ValueError("invariant-subspace engine does not apply here")
         return _enumerate_invariant(m, d, setup, budget, materialize)
     if strategy == "scan":
-        return _enumerate_scan(m, d, budget, jobs, materialize)
+        return _enumerate_scan(m, d, budget, materialize)
     if strategy is not None:
         raise ValueError(f"unknown strategy {strategy!r}")
     if setup is not None and _first_vertex_cost(m, d) > SCAN_THRESHOLD:
         return _enumerate_invariant(m, d, setup, budget, materialize)
-    return _enumerate_scan(m, d, budget, jobs, materialize)
+    return _enumerate_scan(m, d, budget, materialize)
 
 
 def enumerate_submodules(m: Representation, d: DimVector,
-                         budget: int = DEFAULT_BUDGET, jobs: int = 1,
+                         budget: int = DEFAULT_BUDGET,
                          _strategy: Optional[str] = None) -> GrassmannianReport:
     """All submodule points of m with dimension vector d, sorted canonically."""
-    count, pts = _run(m, d, budget, jobs, True, _strategy)
+    count, pts = _run(m, d, budget, True, _strategy)
     pts.sort(key=lambda pt: pt.canonical_key())
     return GrassmannianReport(m, dict(d), tuple(pts), count, m.field)
 
 
 def count_submodules(m: Representation, d: DimVector,
-                     budget: int = DEFAULT_BUDGET, jobs: int = 1,
+                     budget: int = DEFAULT_BUDGET,
                      _strategy: Optional[str] = None) -> int:
     """|G_d(m)(F_p)| without materializing the points."""
-    count, _ = _run(m, d, budget, jobs, False, _strategy)
+    count, _ = _run(m, d, budget, False, _strategy)
     return count
 
 
-def bristle_points(n_rep: Representation, budget: int = DEFAULT_BUDGET,
-                   jobs: int = 1) -> GrassmannianReport:
+def bristle_points(n_rep: Representation,
+                   budget: int = DEFAULT_BUDGET) -> GrassmannianReport:
     """The (1,1)-submodule points carrying an indecomposable subrepresentation.
 
     On a Kronecker-shaped quiver a length-two submodule with dimension vector
@@ -314,7 +292,7 @@ def bristle_points(n_rep: Representation, budget: int = DEFAULT_BUDGET,
         raise ValueError("bristle points need a Kronecker shaped quiver")
     src, tgt, arrow_ids = shape
     d = {src: 1, tgt: 1}
-    full = enumerate_submodules(n_rep, d, budget=budget, jobs=jobs)
+    full = enumerate_submodules(n_rep, d, budget=budget)
     keep = []
     for pt in full.points:
         s1 = pt.subspaces[src]

@@ -190,7 +190,7 @@ def check_dimvec(q: Quiver, d: DimVector) -> None:
     if set(d.keys()) != set(q.vertices):
         raise ValueError("dimension vector keys must be exactly the vertices")
     for v, k in d.items():
-        if not isinstance(k, int) or k < 0:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise ValueError(f"bad dimension {k!r} at vertex {v}")
 
 
@@ -677,9 +677,12 @@ def quiver_from_json(data: dict) -> Quiver:
     vertices = data["vertices"]
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise ValueError("quiver vertices must be a list of strings")
+    if not isinstance(data["arrows"], list):
+        raise ValueError("quiver arrows must be a list")
     arrows = []
     for a in data["arrows"]:
-        if not isinstance(a, dict) or not {"id", "from", "to"} <= set(a.keys()):
+        if not (isinstance(a, dict)
+                and all(isinstance(a.get(k), str) for k in ("id", "from", "to"))):
             raise ValueError(f"bad arrow entry {a!r}")
         arrows.append(Arrow(a["id"], a["from"], a["to"]))
     return Quiver(tuple(vertices), tuple(arrows))
@@ -710,6 +713,17 @@ def representation_to_json(m: Representation) -> dict:
     }
 
 
+def dimvec_from_json(q: Quiver, data, what: str) -> DimVector:
+    """Dimension vector from JSON: an object with a plain int for each vertex."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for v in q.vertices:
+        if v not in data:
+            raise ValueError(f"{what} is missing vertex {v!r}")
+    check_dimvec(q, data)
+    return {v: data[v] for v in q.vertices}
+
+
 def representation_from_json(data: dict) -> Representation:
     if not isinstance(data, dict):
         raise ValueError("representation JSON must be an object")
@@ -718,14 +732,9 @@ def representation_from_json(data: dict) -> Representation:
             raise ValueError(f"representation JSON is missing '{key}'")
     q = quiver_from_json(data["quiver"])
     field = field_from_json(data["field"])
-    dims_raw = data["dims"]
-    if not isinstance(dims_raw, dict):
-        raise ValueError("dims must be an object")
-    dims = {}
-    for v in q.vertices:
-        if v not in dims_raw:
-            raise ValueError(f"dims is missing vertex {v!r}")
-        dims[v] = int(dims_raw[v])
+    dims = dimvec_from_json(q, data["dims"], "dims")
+    if not isinstance(data["matrices"], dict):
+        raise ValueError("matrices must be an object")
     mats = {}
     for a in q.arrows:
         if a.id not in data["matrices"]:

@@ -148,12 +148,35 @@ def test_missing_file(capsys, tmp_path):
 
 def test_bad_dimvec(capsys, tmp_path):
     rep = bristle_file(tmp_path)
-    code, _, err = run_cli(capsys, [
-        "grassmannian", "count", "--rep", rep, "--dimvec", '{"1": 1}'])
-    assert code == 1
-    code, _, err = run_cli(capsys, [
-        "grassmannian", "count", "--rep", rep, "--dimvec", '{"1": 5, "2": 0}'])
-    assert code == 1
+    for dimvec in ('{"1": 1}', '{"1": 5, "2": 0}', '{"1": 1.5, "2": 1}',
+                   '{"1": true, "2": 1}', '{"1": 1, "2": 1, "zz": 7}',
+                   '{"1": "1", "2": 1}'):
+        code, _, err = run_cli(capsys, [
+            "grassmannian", "count", "--rep", rep, "--dimvec", dimvec])
+        assert code == 1, dimvec
+        assert err.startswith("error: ")
+
+
+def test_malformed_representation_is_one_error_line(capsys, tmp_path):
+    good = representation_to_json(make_representation(
+        make_kronecker(2), FieldSpec.rational(), {"1": 1, "2": 1},
+        {"a1": [[1]], "a2": [[0]]}))
+    bad = []
+    for dims in ({"1": 2.9, "2": 1}, {"1": True, "2": 1}, {"1": 1, "2": 1, "zz": 7}):
+        bad.append(dict(good, dims=dims))
+    bad.append(dict(good, matrices={"a1": [[True]], "a2": [[0]]}))
+    bad.append(dict(good, matrices={"a1": [["1/0"]], "a2": [[0]]}))
+    bad.append(dict(good, matrices=5))
+    bad.append(dict(good, quiver=dict(good["quiver"], arrows=5)))
+    bad.append(dict(good, quiver=dict(good["quiver"], arrows=[
+        {"id": ["a1"], "from": "1", "to": "2"}, {"id": "a2", "from": "1", "to": "2"}])))
+    for i, data in enumerate(bad):
+        rep = write_json(tmp_path, f"bad{i}.json", data)
+        code, out, err = run_cli(capsys, ["brick", "--rep", rep])
+        assert code == 1, data
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
 
 
 def test_budget_exceeded_exit_code(capsys, tmp_path):
@@ -171,6 +194,9 @@ def test_bad_flags(capsys):
     assert code == 1
     code, _, _ = run_cli(capsys, ["no-such-command"])
     assert code == 1
+    for flag in ("--seed", "--jobs"):                    # removed options
+        code, _, _ = run_cli(capsys, ["demo", "case2", flag, "2"])
+        assert code == 1
     code, _, _ = run_cli(capsys, ["--help"])
     assert code == 0
 

@@ -244,6 +244,8 @@ def test_check_lemma1_counts():
     assert r2.failures == () and r3.failures == ()
     with pytest.raises(ValueError):
         check_lemma1(ctx2.x, 0)
+    with pytest.raises(ValueError):
+        check_lemma1(rep_power(ctx2.x, 2), 1)   # not a brick
 
 
 def test_check_lemma2_counts():

@@ -150,18 +150,6 @@ def test_direct_sum_with_zero_changes_nothing():
             [p.canonical_key() for p in b.points]
 
 
-def test_jobs_give_identical_output():
-    rng = random.Random(41)
-    k3 = make_kronecker(3)
-    m = random_representation(k3, F3, rng, max_dim=3)
-    d = {"1": 1, "2": 2}
-    one = enumerate_submodules(m, d, jobs=1)
-    two = enumerate_submodules(m, d, jobs=2)
-    assert one.count == two.count
-    assert [p.canonical_key() for p in one.points] == \
-        [p.canonical_key() for p in two.points]
-
-
 def test_strategies_agree():
     # a module meeting the invariant-engine preconditions: equal dims,
     # equal d entries, first arrow invertible
