@@ -29,8 +29,13 @@ from .construct import (
     regular_N,
     remark_counterexample_demo,
 )
-from .exactlinalg import BudgetExceeded, DEFAULT_BUDGET, FieldSpec
-from .grassmann import count_submodules, enumerate_submodules
+from .exactlinalg import FieldSpec
+from .grassmann import (
+    BudgetExceeded,
+    DEFAULT_BUDGET,
+    count_submodules,
+    enumerate_submodules,
+)
 from .homext import ext1, euler_form, hom_ext_dims, is_brick
 from .quiverrep import (
     dimvec_from_json,
@@ -353,6 +358,8 @@ def main(argv: Optional[list] = None) -> int:
         # failed checks, so fold usage problems into the input-error code
         return 0 if exc.code == 0 else 1
     try:
+        if args.budget < 1:
+            raise InputError(f"--budget must be at least 1, got {args.budget}")
         return _HANDLERS[args.command](args)
     except BudgetExceeded as exc:
         print(f"error: enumeration budget exceeded: {exc}", file=sys.stderr)

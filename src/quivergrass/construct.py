@@ -19,14 +19,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactlinalg import (
-    DEFAULT_BUDGET,
     FieldSpec,
     Matrix,
     block2x2,
     kron,
     row_space,
 )
-from .grassmann import count_submodules, enumerate_submodules
+from .grassmann import DEFAULT_BUDGET, count_submodules, enumerate_submodules
 from .homext import (
     ExtCocycle,
     are_orthogonal_bricks,
@@ -49,6 +48,7 @@ from .quiverrep import (
     image_point,
     kronecker_shape,
     make_kronecker,
+    point_to_json,
     quotient_representation,
     rep_power,
     simple,
@@ -349,14 +349,10 @@ class ConditionCReport:
     violations: Tuple[SubmodulePoint, ...]
 
     def to_json(self, count_only: bool = False) -> dict:
-        from .exactlinalg import matrix_to_json
         data = {"holds": self.holds, "checked": self.checked,
                 "violation_count": len(self.violations)}
         if not count_only:
-            data["violations"] = [
-                {v: matrix_to_json(s) for v, s in sorted(pt.subspaces.items())}
-                for pt in self.violations
-            ]
+            data["violations"] = [point_to_json(pt) for pt in self.violations]
         return data
 
 
@@ -393,14 +389,10 @@ class SubmoduleIsoReport:
     failures: Tuple[SubmodulePoint, ...]
 
     def to_json(self, count_only: bool = False) -> dict:
-        from .exactlinalg import matrix_to_json
         data = {"holds": self.holds, "count": self.count,
                 "failure_count": len(self.failures)}
         if not count_only:
-            data["failures"] = [
-                {v: matrix_to_json(s) for v, s in sorted(pt.subspaces.items())}
-                for pt in self.failures
-            ]
+            data["failures"] = [point_to_json(pt) for pt in self.failures]
         return data
 
 
@@ -599,17 +591,13 @@ class RemarkReport:
     counterexample_found: bool
 
     def to_json(self, count_only: bool = False) -> dict:
-        from .exactlinalg import matrix_to_json
         data = {
             "condition_c": self.condition_c.to_json(count_only=count_only),
             "witness_is_violation": self.witness_is_violation,
             "counterexample_found": self.counterexample_found,
         }
         if not count_only:
-            data["witness_point"] = {
-                v: matrix_to_json(s)
-                for v, s in sorted(self.witness_point.subspaces.items())
-            }
+            data["witness_point"] = point_to_json(self.witness_point)
         return data
 
 

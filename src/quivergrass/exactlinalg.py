@@ -12,16 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
-
-#: default cap on the number of subspaces a single enumeration call may visit
-DEFAULT_BUDGET = 10_000_000
-
-
-class BudgetExceeded(RuntimeError):
-    """An exhaustive enumeration would visit more subspaces than allowed."""
 
 
 def _is_prime(p: int) -> bool:
@@ -113,12 +106,6 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of zero")
         return Fraction(1) / x
 
-    def elements(self) -> Iterator[Scalar]:
-        """All field elements; prime fields only."""
-        if not self.is_prime:
-            raise ValueError("cannot enumerate the rationals")
-        return iter(range(self.p))
-
 
 class Matrix:
     """Immutable dense matrix with exact entries over a FieldSpec.
@@ -150,11 +137,6 @@ class Matrix:
         self.entries = tuple(rows)
 
     @classmethod
-    def from_rows(cls, field: FieldSpec, rows: Iterable[Iterable[Scalar]],
-                  ncols: Optional[int] = None) -> "Matrix":
-        return cls(field, [list(r) for r in rows], ncols=ncols)
-
-    @classmethod
     def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "Matrix":
         z = field.zero
         return cls(field, tuple(tuple(z for _ in range(ncols)) for _ in range(nrows)),
@@ -169,12 +151,6 @@ class Matrix:
     def at(self, i: int, j: int) -> Scalar:
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
-    def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.entries)
-
     @property
     def shape(self) -> tuple:
         return (self.nrows, self.ncols)
@@ -187,9 +163,6 @@ class Matrix:
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
-
-    def to_lists(self) -> list:
-        return [list(r) for r in self.entries]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.field == other.field
@@ -505,25 +478,21 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     return num // den
 
 
-def enumerate_subspaces(ambient_dim: int, sub_dim: int, field: FieldSpec,
-                        budget: int = DEFAULT_BUDGET) -> Iterator[Matrix]:
+def enumerate_subspaces(ambient_dim: int, sub_dim: int,
+                        field: FieldSpec) -> Iterator[Matrix]:
     """Stream every sub_dim-dimensional subspace of F_p^ambient_dim exactly once.
 
     Each subspace is emitted as its canonical RREF basis matrix
     (sub_dim x ambient_dim).  Order is deterministic: pivot column sets
     lexicographically, then free entries lexicographically.
 
-    Raises BudgetExceeded up front when the subspace count passes the budget.
+    The stream is lazy and has gaussian_binomial(ambient_dim, sub_dim, p)
+    members; a caller that caps its work counts them with that function.
     """
     if not field.is_prime:
         raise ValueError("subspace enumeration needs a prime field")
     if sub_dim < 0 or sub_dim > ambient_dim:
         return
-    total = gaussian_binomial(ambient_dim, sub_dim, field.p)
-    if total > budget:
-        raise BudgetExceeded(
-            f"{total} subspaces of dim {sub_dim} in F_{field.p}^{ambient_dim} "
-            f"exceed the budget of {budget}")
     p = field.p
     n, k = ambient_dim, sub_dim
     for pivots in combinations(range(n), k):
@@ -540,8 +509,7 @@ def enumerate_subspaces(ambient_dim: int, sub_dim: int, field: FieldSpec,
             yield Matrix(field, tuple(tuple(r) for r in rows), ncols=n, _trusted=True)
 
 
-def subspaces_containing(base: Matrix, sub_dim: int,
-                         budget: int = DEFAULT_BUDGET) -> Iterator[Matrix]:
+def subspaces_containing(base: Matrix, sub_dim: int) -> Iterator[Matrix]:
     """All sub_dim-dimensional subspaces containing the row space of base.
 
     base must be a canonical RREF basis (as produced by row_space).  Uses the
@@ -564,7 +532,7 @@ def subspaces_containing(base: Matrix, sub_dim: int,
     pivset = set(res.pivots)
     free = [c for c in range(n) if c not in pivset]
     base_rows = [list(row) for row in res.reduced.entries]
-    for t in enumerate_subspaces(len(free), sub_dim - r, field, budget=budget):
+    for t in enumerate_subspaces(len(free), sub_dim - r, field):
         rows = [list(row) for row in base_rows]
         for trow in t.entries:
             vec = [0] * n

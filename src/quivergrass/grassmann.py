@@ -1,7 +1,8 @@
 """Exhaustive enumeration of quiver Grassmannians over prime fields.
 
-G_d(M) is materialized as the set of arrow-stable tuples of subspaces with
-dimension vector d, each subspace in canonical RREF form.  Two engines:
+A point of G_d(M) is an arrow-stable tuple of subspaces with dimension
+vector d, one canonical RREF basis matrix per vertex.  Each of the two
+engines is a generator of points, as {vertex: subspace} dicts:
 
 * a general scan that walks vertices in topological order, so that by the
   time a vertex is processed every arrow into it has a fixed source subspace
@@ -14,22 +15,20 @@ dimension vector d, each subspace in canonical RREF form.  Two engines:
   breadth-first walk.  This is what makes the larger bristle-variety
   instances finish in seconds instead of hours.
 
-Counts are exact point counts over F_p.
+Counts are exact point counts over F_p.  The work budget of an enumeration
+is charged here and nowhere else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .exactlinalg import (
-    BudgetExceeded,
-    DEFAULT_BUDGET,
     FieldSpec,
     Matrix,
     gaussian_binomial,
     inverse,
-    matrix_to_json,
     row_space,
     subspaces_containing,
     vstack,
@@ -41,15 +40,30 @@ from .quiverrep import (
     check_dimvec,
     dim_leq,
     kronecker_shape,
+    point_to_json,
 )
+
+#: default work budget of a single enumeration
+DEFAULT_BUDGET = 10_000_000
 
 # above this many first-vertex candidates the general scan is considered
 # too slow and the invariant-subspace engine is preferred when it applies
 SCAN_THRESHOLD = 200_000
 
+Point = Dict[str, Matrix]
+
+
+class BudgetExceeded(RuntimeError):
+    """An enumeration needs more work units than its budget allows."""
+
 
 class _Budget:
-    """Work counter; work units are candidate subspaces examined."""
+    """Work counter of one enumeration.
+
+    The scan charges the number of candidate subspaces at a vertex when it
+    reaches them; the invariant engine charges one unit per line closure and
+    one per merge.
+    """
 
     def __init__(self, limit: int) -> None:
         self.limit = limit
@@ -76,71 +90,41 @@ class GrassmannianReport:
             "count": self.count,
         }
         if not count_only:
-            data["points"] = [
-                {v: matrix_to_json(s) for v, s in sorted(pt.subspaces.items())}
-                for pt in self.points
-            ]
+            data["points"] = [point_to_json(pt) for pt in self.points]
         return data
-
-
-def _check_enumeration_input(m: Representation, d: DimVector) -> None:
-    if not m.field.is_prime:
-        raise ValueError("Grassmannian enumeration needs a finite prime field")
-    check_dimvec(m.quiver, d)
-    if not dim_leq(d, m.dims):
-        raise ValueError("target dimension vector exceeds the module's")
 
 
 # ---------------------------------------------------------------------------
 # general scan
 # ---------------------------------------------------------------------------
 
-def _scan_candidates(m: Representation, d: DimVector, order: List[str], idx: int,
-                     chosen: Dict[str, Matrix], budget: _Budget):
-    """Candidate subspaces at vertex order[idx], given all earlier choices."""
-    v = order[idx]
-    field = m.field
-    ambient = m.dims[v]
-    images = []
-    for a in m.quiver.arrows_into(v):
-        s_src = chosen.get(a.source)
-        if s_src is None:
-            continue  # source vertex comes later; impossible for acyclic order
-        if s_src.nrows:
-            images.append(s_src * m.matrices[a.id].transpose())
-    if images:
-        lower = row_space(vstack(images))
-    else:
-        lower = Matrix.zeros(field, 0, ambient)
-    if lower.nrows > d[v]:
-        return
-    n_cands = gaussian_binomial(ambient - lower.nrows, d[v] - lower.nrows, field.p)
-    budget.charge(n_cands)
-    yield from subspaces_containing(lower, d[v])
-
-
-def _scan_rec(m: Representation, d: DimVector, order: List[str], idx: int,
-              chosen: Dict[str, Matrix], budget: _Budget, out: Optional[list],
-              counter: List[int]) -> None:
-    if idx == len(order):
-        counter[0] += 1
-        if out is not None:
-            out.append(SubmodulePoint(m, dict(chosen)))
-        return
-    v = order[idx]
-    for s in _scan_candidates(m, d, order, idx, chosen, budget):
-        chosen[v] = s
-        _scan_rec(m, d, order, idx + 1, chosen, budget, out, counter)
-    chosen.pop(v, None)
-
-
-def _enumerate_scan(m: Representation, d: DimVector, budget: _Budget,
-                    materialize: bool) -> Tuple[int, list]:
+def _scan(m: Representation, d: DimVector, budget: _Budget) -> Iterator[Point]:
     order = m.quiver.topological_order()
-    out: Optional[list] = [] if materialize else None
-    counter = [0]
-    _scan_rec(m, d, order, 0, {}, budget, out, counter)
-    return counter[0], (out or [])
+    # (source vertex, transposed arrow matrix) of every arrow into a vertex
+    incoming = {v: [(a.source, m.matrices[a.id].transpose())
+                    for a in m.quiver.arrows_into(v)] for v in order}
+    p = m.field.p
+    chosen: Point = {}
+
+    def walk(idx: int) -> Iterator[Point]:
+        if idx == len(order):
+            yield dict(chosen)
+            return
+        v = order[idx]
+        images = [chosen[src] * t for src, t in incoming[v] if chosen[src].nrows]
+        if images:
+            lower = row_space(vstack(images))
+        else:
+            lower = Matrix.zeros(m.field, 0, m.dims[v])
+        if lower.nrows > d[v]:
+            return
+        budget.charge(gaussian_binomial(m.dims[v] - lower.nrows,
+                                        d[v] - lower.nrows, p))
+        for s in subspaces_containing(lower, d[v]):
+            chosen[v] = s
+            yield from walk(idx + 1)
+
+    return walk(0)
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +165,21 @@ def _closure_of(rows: Matrix, ops: List[Matrix], cap: int) -> Optional[Matrix]:
         current = grown
 
 
-def _enumerate_invariant(m: Representation, d: DimVector, setup,
-                         budget: _Budget, materialize: bool) -> Tuple[int, list]:
+def _invariant(m: Representation, d: DimVector, setup,
+               budget: _Budget) -> Iterator[Point]:
     src, tgt, pivot, ops = setup
     field = m.field
-    p = field.p
     n = m.dims[src]
     k = d[src]
+    pivot_t = m.matrices[pivot].transpose()
+
+    def point(s1: Matrix) -> Point:
+        return {src: s1, tgt: row_space(s1 * pivot_t)}
+
     empty = Matrix.zeros(field, 0, n)
     if k == 0:
-        pts = [_invariant_point(m, src, tgt, pivot, empty)] if materialize else []
-        return 1, pts
+        yield point(empty)
+        return
     # every invariant subspace is the sum of the cyclic closures of the lines
     # through its basis vectors, so sums of small-closure lines reach them all
     line_closures: List[Matrix] = []
@@ -202,7 +190,7 @@ def _enumerate_invariant(m: Representation, d: DimVector, setup,
         if cl is not None and cl.entries not in seen_closures:
             seen_closures.add(cl.entries)
             line_closures.append(cl)
-    reached = {empty.entries: empty}
+    reached = {empty.entries}
     frontier = [empty]
     while frontier:
         nxt = []
@@ -212,19 +200,11 @@ def _enumerate_invariant(m: Representation, d: DimVector, setup,
                 merged = row_space(vstack([sub, cl])) if sub.nrows else cl
                 if merged.nrows > k or merged.entries in reached:
                     continue
-                reached[merged.entries] = merged
+                reached.add(merged.entries)
                 nxt.append(merged)
+                if merged.nrows == k:
+                    yield point(merged)
         frontier = nxt
-    hits = [s for s in reached.values() if s.nrows == k]
-    count = len(hits)
-    pts = [_invariant_point(m, src, tgt, pivot, s) for s in hits] if materialize else []
-    return count, pts
-
-
-def _invariant_point(m: Representation, src: str, tgt: str, pivot: str,
-                     s1: Matrix) -> SubmodulePoint:
-    s2 = row_space(s1 * m.matrices[pivot].transpose())
-    return SubmodulePoint(m, {src: s1, tgt: s2})
 
 
 def _projective_lines(field: FieldSpec, n: int):
@@ -240,44 +220,44 @@ def _projective_lines(field: FieldSpec, n: int):
 # public API
 # ---------------------------------------------------------------------------
 
-def _first_vertex_cost(m: Representation, d: DimVector) -> int:
-    v = m.quiver.topological_order()[0]
-    return gaussian_binomial(m.dims[v], d[v], m.field.p)
-
-
-def _run(m: Representation, d: DimVector, budget_limit: int, materialize: bool,
-         strategy: Optional[str]) -> Tuple[int, list]:
-    _check_enumeration_input(m, d)
+def _points(m: Representation, d: DimVector, budget_limit: int,
+            strategy: Optional[str]) -> Iterator[Point]:
+    """The points of G_d(m) from the chosen engine, under one budget."""
+    if not m.field.is_prime:
+        raise ValueError("Grassmannian enumeration needs a finite prime field")
+    check_dimvec(m.quiver, d)
+    if not dim_leq(d, m.dims):
+        raise ValueError("target dimension vector exceeds the module's")
     budget = _Budget(budget_limit)
     setup = _invariant_setup(m, d)
+    if strategy is None:
+        first = m.quiver.topological_order()[0]
+        cost = gaussian_binomial(m.dims[first], d[first], m.field.p)
+        strategy = ("invariant" if setup is not None and cost > SCAN_THRESHOLD
+                    else "scan")
     if strategy == "invariant":
         if setup is None:
             raise ValueError("invariant-subspace engine does not apply here")
-        return _enumerate_invariant(m, d, setup, budget, materialize)
+        return _invariant(m, d, setup, budget)
     if strategy == "scan":
-        return _enumerate_scan(m, d, budget, materialize)
-    if strategy is not None:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if setup is not None and _first_vertex_cost(m, d) > SCAN_THRESHOLD:
-        return _enumerate_invariant(m, d, setup, budget, materialize)
-    return _enumerate_scan(m, d, budget, materialize)
+        return _scan(m, d, budget)
+    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def enumerate_submodules(m: Representation, d: DimVector,
                          budget: int = DEFAULT_BUDGET,
                          _strategy: Optional[str] = None) -> GrassmannianReport:
     """All submodule points of m with dimension vector d, sorted canonically."""
-    count, pts = _run(m, d, budget, True, _strategy)
+    pts = [SubmodulePoint(m, s) for s in _points(m, d, budget, _strategy)]
     pts.sort(key=lambda pt: pt.canonical_key())
-    return GrassmannianReport(m, dict(d), tuple(pts), count, m.field)
+    return GrassmannianReport(m, dict(d), tuple(pts), len(pts), m.field)
 
 
 def count_submodules(m: Representation, d: DimVector,
                      budget: int = DEFAULT_BUDGET,
                      _strategy: Optional[str] = None) -> int:
     """|G_d(m)(F_p)| without materializing the points."""
-    count, _ = _run(m, d, budget, False, _strategy)
-    return count
+    return sum(1 for _ in _points(m, d, budget, _strategy))
 
 
 def bristle_points(n_rep: Representation,

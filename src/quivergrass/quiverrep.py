@@ -197,9 +197,6 @@ def check_dimvec(q: Quiver, d: DimVector) -> None:
 def dim_add(d: DimVector, e: DimVector) -> DimVector:
     return {v: d[v] + e[v] for v in d}
 
-def dim_scale(c: int, d: DimVector) -> DimVector:
-    return {v: c * d[v] for v in d}
-
 def dim_total(d: DimVector) -> int:
     return sum(d.values())
 
@@ -671,9 +668,16 @@ def quiver_to_json(q: Quiver) -> dict:
     }
 
 
+def _reject_unknown_keys(data: dict, known, what: str) -> None:
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"{what} has unknown key {unknown[0]!r}")
+
+
 def quiver_from_json(data: dict) -> Quiver:
     if not isinstance(data, dict) or "vertices" not in data or "arrows" not in data:
         raise ValueError("quiver JSON needs 'vertices' and 'arrows'")
+    _reject_unknown_keys(data, ("vertices", "arrows"), "quiver JSON")
     vertices = data["vertices"]
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise ValueError("quiver vertices must be a list of strings")
@@ -684,6 +688,7 @@ def quiver_from_json(data: dict) -> Quiver:
         if not (isinstance(a, dict)
                 and all(isinstance(a.get(k), str) for k in ("id", "from", "to"))):
             raise ValueError(f"bad arrow entry {a!r}")
+        _reject_unknown_keys(a, ("id", "from", "to"), f"arrow {a['id']!r}")
         arrows.append(Arrow(a["id"], a["from"], a["to"]))
     return Quiver(tuple(vertices), tuple(arrows))
 
@@ -698,8 +703,10 @@ def field_from_json(data: dict) -> FieldSpec:
     if not isinstance(data, dict) or "type" not in data:
         raise ValueError("field JSON needs a 'type'")
     if data["type"] == "prime":
+        _reject_unknown_keys(data, ("type", "p"), "field JSON")
         return FieldSpec.prime(data.get("p"))
     if data["type"] == "rational":
+        _reject_unknown_keys(data, ("type",), "field JSON")
         return FieldSpec.rational()
     raise ValueError(f"unknown field type {data['type']!r}")
 
@@ -730,11 +737,14 @@ def representation_from_json(data: dict) -> Representation:
     for key in ("quiver", "field", "dims", "matrices"):
         if key not in data:
             raise ValueError(f"representation JSON is missing '{key}'")
+    _reject_unknown_keys(data, ("quiver", "field", "dims", "matrices"),
+                         "representation JSON")
     q = quiver_from_json(data["quiver"])
     field = field_from_json(data["field"])
     dims = dimvec_from_json(q, data["dims"], "dims")
     if not isinstance(data["matrices"], dict):
         raise ValueError("matrices must be an object")
+    _reject_unknown_keys(data["matrices"], [a.id for a in q.arrows], "matrices")
     mats = {}
     for a in q.arrows:
         if a.id not in data["matrices"]:

@@ -189,6 +189,37 @@ def test_budget_exceeded_exit_code(capsys, tmp_path):
     assert "budget" in err
 
 
+def test_budget_must_be_positive(capsys, tmp_path):
+    rep = bristle_file(tmp_path)
+    for value in ("0", "-1"):
+        code, out, err = run_cli(capsys, [
+            "grassmannian", "count", "--rep", rep, "--dimvec", '{"1": 1, "2": 1}',
+            "--budget", value])
+        assert code == 1, value
+        assert out == ""
+        assert err == f"error: --budget must be at least 1, got {value}\n"
+
+
+def test_unknown_json_keys_are_rejected(capsys, tmp_path):
+    good = representation_to_json(make_representation(
+        make_kronecker(2), F3, {"1": 1, "2": 1}, {"a1": [[1]], "a2": [[0]]}))
+    arrows = good["quiver"]["arrows"]
+    bad = [
+        dict(good, matrixes={"a1": [[1]], "a2": [[0]]}),
+        dict(good, field={"type": "prime", "p": 3, "q": 5}),
+        dict(good, field={"type": "rational", "p": 3}),
+        dict(good, quiver=dict(good["quiver"], name="K2")),
+        dict(good, quiver=dict(good["quiver"],
+                               arrows=[dict(arrows[0], label="x"), arrows[1]])),
+        dict(good, matrices=dict(good["matrices"], a3=[[0]])),
+    ]
+    for i, data in enumerate(bad):
+        rep = write_json(tmp_path, f"extra{i}.json", data)
+        code, out, err = run_cli(capsys, ["brick", "--rep", rep])
+        assert code == 1, data
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "unknown key" in err
 def test_bad_flags(capsys):
     code, _, _ = run_cli(capsys, ["classify"])           # missing --quiver
     assert code == 1

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from quivergrass.exactlinalg import (
-    BudgetExceeded,
     FieldSpec,
     Matrix,
     block2x2,
@@ -242,9 +241,13 @@ def test_enumerate_subspaces_counts():
                     assert rref(m).reduced == m
 
 
-def test_enumerate_subspaces_budget():
-    with pytest.raises(BudgetExceeded):
-        list(enumerate_subspaces(6, 3, F5, budget=1000))
+def test_subspace_streams_are_lazy_and_uncapped():
+    # 109221651 subspaces: the stream must start without counting or capping
+    # them, since only the enumeration that consumes it holds a budget
+    first = next(subspaces_containing(Matrix.zeros(F2, 0, 10), 5))
+    assert first.shape == (5, 10)
+    assert rref(first).reduced == first
+    assert next(enumerate_subspaces(10, 5, F2)) == first
 
 
 def test_subspaces_containing():

@@ -4,13 +4,13 @@ import random
 import pytest
 
 from quivergrass.exactlinalg import (
-    BudgetExceeded,
     FieldSpec,
     Matrix,
     enumerate_subspaces,
     gaussian_binomial,
 )
 from quivergrass.grassmann import (
+    BudgetExceeded,
     bristle_points,
     count_submodules,
     enumerate_submodules,
@@ -125,6 +125,18 @@ def test_budget_enforced():
         enumerate_submodules(m, {"1": 2, "2": 2}, budget=10)
 
 
+def test_budget_is_the_scan_candidate_count():
+    # a single vertex: the scan examines all [4 choose 2]_3 = 130 subspaces
+    # and charges exactly that, with no other cap in between
+    one = Quiver(("1",), ())
+    m = make_representation(one, F3, {"1": 4}, {})
+    d = {"1": 2}
+    assert gaussian_binomial(4, 2, 3) == 130
+    assert count_submodules(m, d, budget=130) == 130
+    with pytest.raises(BudgetExceeded):
+        count_submodules(m, d, budget=129)
+
+
 def test_base_change_invariance():
     rng = random.Random(31)
     k2 = make_kronecker(2)
@@ -150,20 +162,47 @@ def test_direct_sum_with_zero_changes_nothing():
             [p.canonical_key() for p in b.points]
 
 
-def test_strategies_agree():
-    # a module meeting the invariant-engine preconditions: equal dims,
-    # equal d entries, first arrow invertible
+def _invariant_engine_modules(rng):
+    """Kronecker modules with equal dims and one invertible arrow, rebased.
+
+    A hand-made K(2) module over F_3, then per prime random K(2) and K(3)
+    modules with an identity arrow in a random position, and scalar-arrow
+    modules a_i = c_i * I, whose invariant subspaces are all subspaces.
+    """
     k2 = make_kronecker(2)
-    m = make_representation(k2, F3, {"1": 2, "2": 2},
-                            {"a1": [[1, 0], [0, 1]], "a2": [[0, 1], [0, 0]]})
-    for k in (0, 1, 2):
-        d = {"1": k, "2": k}
-        scan = enumerate_submodules(m, d, _strategy="scan")
-        inv = enumerate_submodules(m, d, _strategy="invariant")
-        auto = enumerate_submodules(m, d)
-        keys = [p.canonical_key() for p in scan.points]
-        assert [p.canonical_key() for p in inv.points] == keys
-        assert [p.canonical_key() for p in auto.points] == keys
+    yield make_representation(k2, F3, {"1": 2, "2": 2},
+                              {"a1": [[1, 0], [0, 1]], "a2": [[0, 1], [0, 0]]})
+    for field, n in ((F2, 4), (F3, 3), (F5, 3)):
+        for q in (k2, make_kronecker(3)):
+            ids = [a.id for a in q.arrows]
+            unit = rng.choice(ids)
+            mats = {aid: [[rng.randrange(field.p) for _ in range(n)]
+                          for _ in range(n)] for aid in ids}
+            mats[unit] = [[int(i == j) for j in range(n)] for i in range(n)]
+            scalars = {aid: rng.randrange(field.p) for aid in ids}
+            scalars[unit] = rng.randrange(1, field.p)
+            scalar = {aid: [[c * int(i == j) for j in range(n)] for i in range(n)]
+                      for aid, c in scalars.items()}
+            for arrows in (mats, scalar):
+                m = make_representation(q, field, {"1": n, "2": n}, arrows)
+                g = {v: random_invertible(field, n, rng) for v in q.vertices}
+                yield change_of_basis(m, g)
+
+
+def test_strategies_agree():
+    # seeded differential test of both engines, automatic choice and the
+    # flat oracle, on points and on counts, for every d = (k, k)
+    rng = random.Random(59)
+    for m in _invariant_engine_modules(rng):
+        for k in range(m.dims["1"] + 1):
+            d = {"1": k, "2": k}
+            keys = [p.canonical_key() for p in flat_points(m, d)]
+            for strategy in ("scan", "invariant", None):
+                report = enumerate_submodules(m, d, _strategy=strategy)
+                assert [p.canonical_key() for p in report.points] == keys, \
+                    (m, d, strategy)
+                assert report.count == len(keys)
+                assert count_submodules(m, d, _strategy=strategy) == len(keys)
 
 
 def test_invariant_strategy_rejected_when_inapplicable():

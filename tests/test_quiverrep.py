@@ -16,6 +16,7 @@ from quivergrass.quiverrep import (
     dim_add,
     direct_sum,
     dual,
+    field_from_json,
     identity_morphism,
     image_point,
     injective,
@@ -272,6 +273,19 @@ def test_quiver_json_roundtrip():
         quiver_from_json({"vertices": ["1"]})
     with pytest.raises(ValueError):
         quiver_from_json({"vertices": [1], "arrows": []})
+    with pytest.raises(ValueError, match="unknown key 'name'"):
+        quiver_from_json(dict(data, name="A3"))
+    arrow = dict(data["arrows"][0], label="x")
+    with pytest.raises(ValueError, match="unknown key 'label'"):
+        quiver_from_json(dict(data, arrows=[arrow] + data["arrows"][1:]))
+
+
+def test_field_json_rejects_unknown_keys():
+    assert field_from_json({"type": "prime", "p": 3}) == F3
+    assert field_from_json({"type": "rational"}) == FieldSpec.rational()
+    for data in ({"type": "prime", "p": 3, "q": 5}, {"type": "rational", "p": 3}):
+        with pytest.raises(ValueError, match="unknown key"):
+            field_from_json(data)
 
 
 def test_representation_json_roundtrip():
@@ -285,6 +299,8 @@ def test_representation_json_roundtrip():
     assert representation_from_json(representation_to_json(rational)) == rational
     with pytest.raises(ValueError):
         representation_from_json({"quiver": quiver_to_json(k3)})
+    with pytest.raises(ValueError, match="unknown key 'matrixes'"):
+        representation_from_json(dict(data, matrixes=data["matrices"]))
 
 
 def test_make_representation_defaults_zero():
