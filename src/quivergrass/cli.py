@@ -304,6 +304,8 @@ def _cmd_bijection(args) -> int:
 def _cmd_demo(args) -> int:
     field = _parse_field(args.field)
     if args.which == "case2":
+        if args.n < 2:
+            raise InputError(f"--n must be at least 2, got {args.n}")
         lambdas = None
         if args.lambdas is not None:
             lambdas = [int(s) for s in args.lambdas.split(",") if s.strip()]
@@ -326,6 +328,8 @@ def _cmd_demo(args) -> int:
                "condition_c": creport.to_json(count_only=args.count_only),
                "bijection": breport.to_json()}, args.output)
         return 0 if creport.holds and breport.equal else 2
+    if args.b not in (1, 2, 3):
+        raise InputError(f"--b must be 1, 2 or 3, got {args.b}")
     report = remark_counterexample_demo(field, b=args.b, budget=args.budget)
     _emit(report.to_json(count_only=args.count_only), args.output)
     # the interesting outcome is a failing condition (C): report it as a

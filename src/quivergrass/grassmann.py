@@ -2,7 +2,8 @@
 
 A point of G_d(M) is an arrow-stable tuple of subspaces with dimension
 vector d, one canonical RREF basis matrix per vertex.  Each of the two
-engines is a generator of points, as {vertex: subspace} dicts:
+engines is a generator of (weight, point) pairs, a point being a
+{vertex: subspace} dict:
 
 * a general scan that walks vertices in topological order, so that by the
   time a vertex is processed every arrow into it has a fixed source subspace
@@ -15,6 +16,12 @@ engines is a generator of points, as {vertex: subspace} dicts:
   breadth-first walk.  This is what makes the larger bristle-variety
   instances finish in seconds instead of hours.
 
+The engine is chosen by cost: when the source space has fewer lines than the
+scan has candidates at its first vertex, the line closures are computed
+first, and their number bounds the invariant engine's remaining work from
+below (see _choose_engine).  A count multiplies by the number of choices at
+each sink instead of walking them.
+
 Counts are exact point counts over F_p.  The work budget of an enumeration
 is charged here and nowhere else.
 """
@@ -22,6 +29,7 @@ is charged here and nowhere else.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .exactlinalg import (
@@ -45,10 +53,6 @@ from .quiverrep import (
 
 #: default work budget of a single enumeration
 DEFAULT_BUDGET = 10_000_000
-
-# above this many first-vertex candidates the general scan is considered
-# too slow and the invariant-subspace engine is preferred when it applies
-SCAN_THRESHOLD = 200_000
 
 Point = Dict[str, Matrix]
 
@@ -98,17 +102,26 @@ class GrassmannianReport:
 # general scan
 # ---------------------------------------------------------------------------
 
-def _scan(m: Representation, d: DimVector, budget: _Budget) -> Iterator[Point]:
+def _scan(m: Representation, d: DimVector, budget: _Budget,
+          walk_sinks: bool = True) -> Iterator[Tuple[int, Point]]:
+    """(weight, point) pairs of the topological-order scan.
+
+    With walk_sinks the weights are 1.  Without it a sink vertex is not
+    walked: its choices are exactly the subspaces containing its incoming
+    image and constrain no later vertex, so the weight is multiplied by their
+    number and the sink is left out of the point.
+    """
     order = m.quiver.topological_order()
     # (source vertex, transposed arrow matrix) of every arrow into a vertex
     incoming = {v: [(a.source, m.matrices[a.id].transpose())
                     for a in m.quiver.arrows_into(v)] for v in order}
+    counted = set() if walk_sinks else set(m.quiver.sinks())
     p = m.field.p
     chosen: Point = {}
 
-    def walk(idx: int) -> Iterator[Point]:
+    def walk(idx: int, weight: int) -> Iterator[Tuple[int, Point]]:
         if idx == len(order):
-            yield dict(chosen)
+            yield weight, dict(chosen)
             return
         v = order[idx]
         images = [chosen[src] * t for src, t in incoming[v] if chosen[src].nrows]
@@ -118,13 +131,17 @@ def _scan(m: Representation, d: DimVector, budget: _Budget) -> Iterator[Point]:
             lower = Matrix.zeros(m.field, 0, m.dims[v])
         if lower.nrows > d[v]:
             return
-        budget.charge(gaussian_binomial(m.dims[v] - lower.nrows,
-                                        d[v] - lower.nrows, p))
+        choices = gaussian_binomial(m.dims[v] - lower.nrows,
+                                    d[v] - lower.nrows, p)
+        budget.charge(choices)
+        if v in counted:
+            yield from walk(idx + 1, weight * choices)
+            return
         for s in subspaces_containing(lower, d[v]):
             chosen[v] = s
-            yield from walk(idx + 1)
+            yield from walk(idx + 1, weight)
 
-    return walk(0)
+    return walk(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -152,44 +169,79 @@ def _invariant_setup(m: Representation, d: DimVector):
     return src, tgt, pivot, ops
 
 
-def _closure_of(rows: Matrix, ops: List[Matrix], cap: int) -> Optional[Matrix]:
-    """Smallest op-invariant subspace containing rows, or None once dim > cap."""
-    current = row_space(rows)
-    while True:
-        if current.nrows > cap:
+def _line_closure(vec, op_rows, cap: int, p: int) -> Optional[List[list]]:
+    """Basis rows of the smallest op-invariant subspace containing vec.
+
+    None once the dimension would pass cap.  The basis is an incremental
+    echelon form over F_p: every row has a leading 1 at its pivot and is zero
+    at the pivots of the rows before it, so one pass in insertion order
+    reduces a vector.  The op-images of each vector that enters the basis
+    are queued and reduced in turn; the span is invariant when none is left.
+    """
+    basis: List[Tuple[int, list]] = []
+    # (operator rows or None, vector): an image is computed only when popped,
+    # so the images still pending when the cap is passed cost nothing
+    pending = [(None, vec)]
+    while pending:
+        op, v = pending.pop()
+        if op is not None:
+            v = [sum(map(mul, r, v)) % p for r in op]
+        for c, row in basis:
+            f = v[c]
+            if f:
+                v = [(a - f * b) % p for a, b in zip(v, row)]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        if len(basis) == cap:
             return None
-        pieces = [current] + [current * op.transpose() for op in ops]
-        grown = row_space(vstack(pieces))
-        if grown.nrows == current.nrows:
-            return current
-        current = grown
+        inv = pow(v[lead], p - 2, p)
+        v = [x * inv % p for x in v]
+        basis.append((lead, v))
+        pending.extend((op, v) for op in op_rows)
+    return [row for _, row in basis]
 
 
-def _invariant(m: Representation, d: DimVector, setup,
-               budget: _Budget) -> Iterator[Point]:
-    src, tgt, pivot, ops = setup
+def _line_closures(m: Representation, d: DimVector, setup,
+                   budget: _Budget) -> List[Matrix]:
+    """The distinct closures of dimension at most k of the source lines.
+
+    Charges one unit per line.  Each kept closure is canonicalized once.
+    """
+    src, _, _, ops = setup
     field = m.field
     n = m.dims[src]
     k = d[src]
+    if k == 0:
+        return []
+    op_rows = [op.entries for op in ops]
+    found: Dict[tuple, Matrix] = {}
+    for vec in _projective_lines(field, n):
+        budget.charge()
+        rows = _line_closure(vec, op_rows, k, field.p)
+        if rows is not None:
+            cl = row_space(Matrix(field, rows, ncols=n, _trusted=True))
+            found.setdefault(cl.entries, cl)
+    return list(found.values())
+
+
+def _invariant(m: Representation, d: DimVector, setup,
+               line_closures: List[Matrix],
+               budget: _Budget) -> Iterator[Tuple[int, Point]]:
+    """(1, point) pairs of the merge walk over the line closures."""
+    src, tgt, pivot, _ = setup
+    k = d[src]
     pivot_t = m.matrices[pivot].transpose()
 
-    def point(s1: Matrix) -> Point:
-        return {src: s1, tgt: row_space(s1 * pivot_t)}
+    def point(s1: Matrix) -> Tuple[int, Point]:
+        return 1, {src: s1, tgt: row_space(s1 * pivot_t)}
 
-    empty = Matrix.zeros(field, 0, n)
+    empty = Matrix.zeros(m.field, 0, m.dims[src])
     if k == 0:
         yield point(empty)
         return
     # every invariant subspace is the sum of the cyclic closures of the lines
     # through its basis vectors, so sums of small-closure lines reach them all
-    line_closures: List[Matrix] = []
-    seen_closures = set()
-    for vec in _projective_lines(field, n):
-        budget.charge()
-        cl = _closure_of(Matrix(field, (vec,), ncols=n), ops, k)
-        if cl is not None and cl.entries not in seen_closures:
-            seen_closures.add(cl.entries)
-            line_closures.append(cl)
     reached = {empty.entries}
     frontier = [empty]
     while frontier:
@@ -220,9 +272,34 @@ def _projective_lines(field: FieldSpec, n: int):
 # public API
 # ---------------------------------------------------------------------------
 
+def _choose_engine(m: Representation, d: DimVector, setup,
+                   budget: _Budget) -> Tuple[str, Optional[List[Matrix]]]:
+    """The cheaper engine, with the line closures when it is the invariant one.
+
+    G, the number of candidates at the first vertex, is the scan's first
+    charge and a lower bound on its work.  The invariant engine charges one
+    unit per line of the source space, so it is probed only when there are
+    fewer lines than G.  With C distinct line closures its merge walk then
+    charges at least C*(C+1) units (the empty subspace and each of the C
+    level-one closures merged with every closure); it runs when that is at
+    most G.  The probe's charges stay spent when the scan runs.
+    """
+    first = m.quiver.topological_order()[0]
+    p = m.field.p
+    g = gaussian_binomial(m.dims[first], d[first], p)
+    if setup is None or gaussian_binomial(m.dims[setup[0]], 1, p) >= g:
+        return "scan", None
+    closures = _line_closures(m, d, setup, budget)
+    c = len(closures)
+    if c * (c + 1) <= g:
+        return "invariant", closures
+    return "scan", None
+
+
 def _points(m: Representation, d: DimVector, budget_limit: int,
-            strategy: Optional[str]) -> Iterator[Point]:
-    """The points of G_d(m) from the chosen engine, under one budget."""
+            strategy: Optional[str],
+            walk_sinks: bool = True) -> Iterator[Tuple[int, Point]]:
+    """(weight, point) pairs of G_d(m) from the chosen engine, under one budget."""
     if not m.field.is_prime:
         raise ValueError("Grassmannian enumeration needs a finite prime field")
     check_dimvec(m.quiver, d)
@@ -231,24 +308,25 @@ def _points(m: Representation, d: DimVector, budget_limit: int,
     budget = _Budget(budget_limit)
     setup = _invariant_setup(m, d)
     if strategy is None:
-        first = m.quiver.topological_order()[0]
-        cost = gaussian_binomial(m.dims[first], d[first], m.field.p)
-        strategy = ("invariant" if setup is not None and cost > SCAN_THRESHOLD
-                    else "scan")
-    if strategy == "invariant":
+        strategy, closures = _choose_engine(m, d, setup, budget)
+    elif strategy == "invariant":
         if setup is None:
             raise ValueError("invariant-subspace engine does not apply here")
-        return _invariant(m, d, setup, budget)
-    if strategy == "scan":
-        return _scan(m, d, budget)
-    raise ValueError(f"unknown strategy {strategy!r}")
+        closures = _line_closures(m, d, setup, budget)
+    elif strategy != "scan":
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "invariant":
+        return _invariant(m, d, setup, closures, budget)
+    return _scan(m, d, budget, walk_sinks)
 
 
 def enumerate_submodules(m: Representation, d: DimVector,
                          budget: int = DEFAULT_BUDGET,
                          _strategy: Optional[str] = None) -> GrassmannianReport:
     """All submodule points of m with dimension vector d, sorted canonically."""
-    pts = [SubmodulePoint(m, s) for s in _points(m, d, budget, _strategy)]
+    # the engines emit canonical RREF subspaces, one per vertex
+    pts = [SubmodulePoint._trusted(m, s)
+           for _, s in _points(m, d, budget, _strategy)]
     pts.sort(key=lambda pt: pt.canonical_key())
     return GrassmannianReport(m, dict(d), tuple(pts), len(pts), m.field)
 
@@ -256,8 +334,8 @@ def enumerate_submodules(m: Representation, d: DimVector,
 def count_submodules(m: Representation, d: DimVector,
                      budget: int = DEFAULT_BUDGET,
                      _strategy: Optional[str] = None) -> int:
-    """|G_d(m)(F_p)| without materializing the points."""
-    return sum(1 for _ in _points(m, d, budget, _strategy))
+    """|G_d(m)(F_p)| without materializing the points or walking the sinks."""
+    return sum(w for w, _ in _points(m, d, budget, _strategy, walk_sinks=False))
 
 
 def bristle_points(n_rep: Representation,

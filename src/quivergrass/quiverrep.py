@@ -393,7 +393,8 @@ class SubmodulePoint:
     """A point of a quiver Grassmannian: one canonical subspace per vertex.
 
     subspaces[v] is a k_v x dims[v] matrix whose rows are the canonical RREF
-    basis of the chosen subspace.  Canonicalization happens on construction.
+    basis of the chosen subspace.  Canonicalization happens on construction,
+    except through _trusted, which the enumeration engines use.
     """
 
     parent: Representation
@@ -411,6 +412,15 @@ class SubmodulePoint:
                 raise ValueError("subspace over the wrong field")
             canon[v] = row_space(s)
         object.__setattr__(self, "subspaces", canon)
+
+    @classmethod
+    def _trusted(cls, parent: Representation,
+                 subspaces: Dict[str, Matrix]) -> "SubmodulePoint":
+        """A point from canonical RREF bases, one per vertex, taken as given."""
+        pt = object.__new__(cls)
+        object.__setattr__(pt, "parent", parent)
+        object.__setattr__(pt, "subspaces", subspaces)
+        return pt
 
     @property
     def dim_vector(self) -> DimVector:

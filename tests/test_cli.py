@@ -228,6 +228,14 @@ def test_bad_flags(capsys):
     for flag in ("--seed", "--jobs"):                    # removed options
         code, _, _ = run_cli(capsys, ["demo", "case2", flag, "2"])
         assert code == 1
+    for value in ("0", "-1"):
+        code, out, err = run_cli(capsys, ["demo", "case2", "--n", value])
+        assert (code, out) == (1, "")
+        assert err == f"error: --n must be at least 2, got {value}\n"
+    for value in ("0", "4"):
+        code, out, err = run_cli(capsys, ["demo", "remark", "--b", value])
+        assert (code, out) == (1, "")
+        assert err == f"error: --b must be 1, 2 or 3, got {value}\n"
     code, _, _ = run_cli(capsys, ["--help"])
     assert code == 0
 

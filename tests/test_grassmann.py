@@ -3,14 +3,31 @@ import random
 
 import pytest
 
+from quivergrass.construct import (
+    build_eta,
+    case2_Y,
+    make_eta_context,
+    remark_N,
+    remark_Xprime,
+)
 from quivergrass.exactlinalg import (
     FieldSpec,
     Matrix,
     enumerate_subspaces,
     gaussian_binomial,
+    inverse,
+    row_space,
+    vstack,
 )
 from quivergrass.grassmann import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
+    _Budget,
+    _choose_engine,
+    _invariant_setup,
+    _line_closure,
+    _line_closures,
+    _projective_lines,
     bristle_points,
     count_submodules,
     enumerate_submodules,
@@ -34,6 +51,7 @@ from quivergrass.quiverrep import (
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
+F7 = FieldSpec.prime(7)
 
 A2 = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
 
@@ -189,13 +207,21 @@ def _invariant_engine_modules(rng):
                 yield change_of_basis(m, g)
 
 
+def auto_engine(m, d):
+    return _choose_engine(m, d, _invariant_setup(m, d), _Budget(DEFAULT_BUDGET))
+
+
 def test_strategies_agree():
     # seeded differential test of both engines, automatic choice and the
     # flat oracle, on points and on counts, for every d = (k, k)
     rng = random.Random(59)
     for m in _invariant_engine_modules(rng):
-        for k in range(m.dims["1"] + 1):
+        n = m.dims["1"]
+        for k in range(n + 1):
             d = {"1": k, "2": k}
+            if k in (0, 1, n):
+                # no fewer lines than scan candidates: the probe never runs
+                assert auto_engine(m, d) == ("scan", None), (m, d)
             keys = [p.canonical_key() for p in flat_points(m, d)]
             for strategy in ("scan", "invariant", None):
                 report = enumerate_submodules(m, d, _strategy=strategy)
@@ -203,6 +229,91 @@ def test_strategies_agree():
                     (m, d, strategy)
                 assert report.count == len(keys)
                 assert count_submodules(m, d, _strategy=strategy) == len(keys)
+
+
+def closure_oracle(rows, ops, cap):
+    """Smallest op-invariant subspace containing rows, or None once dim > cap.
+
+    Rebuilds the row space of the current basis and its op-images each
+    round until it stops growing.
+    """
+    current = row_space(rows)
+    while True:
+        if current.nrows > cap:
+            return None
+        pieces = [current] + [current * op.transpose() for op in ops]
+        grown = row_space(vstack(pieces))
+        if grown.nrows == current.nrows:
+            return current
+        current = grown
+
+
+def _random_operators(field, n, rng):
+    """One or two random operators, possibly sharing an invariant flag.
+
+    Generic operators have few invariant subspaces, so half the sets are
+    upper triangular in a common random basis, and some are scalars.
+    """
+    p = field.p
+    g = random_invertible(field, n, rng)
+    g_inv = inverse(g)
+    kind = rng.choice(("random", "triangular", "scalar"))
+    ops = []
+    for _ in range(rng.randint(1, 2)):
+        if kind == "random":
+            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        elif kind == "triangular":
+            rows = [[rng.randrange(p) if j >= i else 0 for j in range(n)]
+                    for i in range(n)]
+        else:
+            c = rng.randrange(p)
+            rows = [[c * int(i == j) for j in range(n)] for i in range(n)]
+        ops.append(g_inv * Matrix(field, rows, ncols=n) * g)
+    return ops
+
+
+def test_line_closure_matches_oracle():
+    # seeded differential test of the incremental echelon closure against
+    # the row-space rebuild, for every line of F_p^n and every cap
+    rng = random.Random(71)
+    for field in (F2, F3, F5, F7):
+        for n in range(1, 5):
+            for _ in range(3):
+                ops = _random_operators(field, n, rng)
+                op_rows = [op.entries for op in ops]
+                for vec in _projective_lines(field, n):
+                    line = Matrix(field, (vec,), ncols=n)
+                    for cap in range(n + 1):
+                        want = closure_oracle(line, ops, cap)
+                        got = _line_closure(vec, op_rows, cap, field.p)
+                        if want is None:
+                            assert got is None, (ops, vec, cap)
+                        else:
+                            assert got is not None, (ops, vec, cap)
+                            assert row_space(Matrix(field, got, ncols=n)) == want
+
+
+def _remark_witness(p, b):
+    field = FieldSpec.prime(p)
+    ctx = make_eta_context(remark_Xprime(1, 2, field), case2_Y(field))
+    return build_eta(ctx, remark_N(field, b)).m
+
+
+def test_automatic_engine_choice_on_baseline_instances():
+    # the remark witnesses have 12-26 distinct line closures, far fewer than
+    # scan candidates; on the degenerate K(2) module every line is invariant
+    d = {"1": 3, "2": 3}
+    closures = {(3, 1): 12, (3, 2): 13, (3, 3): 18,
+                (5, 1): 18, (5, 2): 19, (5, 3): 26}
+    for (p, b), c in closures.items():
+        engine, found = auto_engine(_remark_witness(p, b), d)
+        assert (engine, len(found)) == ("invariant", c), (p, b)
+    ident = Matrix.identity(F3, 5)
+    degenerate = make_representation(make_kronecker(2), F3, {"1": 5, "2": 5},
+                                     {"a1": ident.entries, "a2": ident.entries})
+    assert auto_engine(degenerate, d) == ("scan", None)
+    setup = _invariant_setup(degenerate, d)
+    assert len(_line_closures(degenerate, d, setup, _Budget(DEFAULT_BUDGET))) == 121
 
 
 def test_invariant_strategy_rejected_when_inapplicable():
@@ -213,12 +324,16 @@ def test_invariant_strategy_rejected_when_inapplicable():
 
 
 def test_count_only_consistency():
+    # counts weigh the sinks instead of walking them; here a sink also sits
+    # between two walked vertices in topological order
     rng = random.Random(47)
-    k2 = make_kronecker(2)
-    for _ in range(8):
-        m = random_representation(k2, F3, rng, max_dim=3)
-        d = {v: rng.randint(0, m.dims[v]) for v in k2.vertices}
-        assert count_submodules(m, d) == enumerate_submodules(m, d).count
+    tree = Quiver(("1", "2", "3", "4"), (Arrow("a", "1", "2"), Arrow("b", "1", "3"),
+                                         Arrow("c", "3", "4")))
+    for q in (make_kronecker(2), tree):
+        for _ in range(8):
+            m = random_representation(q, F3, rng, max_dim=3)
+            d = {v: rng.randint(0, m.dims[v]) for v in q.vertices}
+            assert count_submodules(m, d) == enumerate_submodules(m, d).count
 
 
 def test_grassmannian_of_plain_vector_space():
