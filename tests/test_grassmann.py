@@ -251,8 +251,8 @@ def closure_oracle(rows, ops, cap):
 def _random_operators(field, n, rng):
     """One or two random operators, possibly sharing an invariant flag.
 
-    Generic operators have few invariant subspaces, so half the sets are
-    upper triangular in a common random basis, and some are scalars.
+    Generic operators have few invariant subspaces, so a third of the sets
+    are upper triangular in a common random basis and a third are scalars.
     """
     p = field.p
     g = random_invertible(field, n, rng)
