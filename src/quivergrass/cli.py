@@ -36,7 +36,7 @@ from .grassmann import (
     count_submodules,
     enumerate_submodules,
 )
-from .homext import ext1, euler_form, hom_ext_dims, is_brick
+from .homext import euler_form, hom_ext_dims, is_brick
 from .quiverrep import (
     dimvec_from_json,
     quiver_from_json,
@@ -225,7 +225,7 @@ def _cmd_hom(args) -> int:
 def _cmd_ext1(args) -> int:
     m1 = _load_representation(args.rep1)
     m2 = _load_representation(args.rep2)
-    _emit({"dim": ext1(m1, m2).dim}, args.output)
+    _emit({"dim": hom_ext_dims(m1, m2)[1]}, args.output)
     return 0
 
 
@@ -301,33 +301,39 @@ def _cmd_bijection(args) -> int:
     return 0 if report.equal else 2
 
 
+def _parse_lambdas(text: Optional[str], n: int):
+    if text is None:
+        return None
+    try:
+        lambdas = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise InputError(f"--lambdas must be comma-separated integers, got {text!r}")
+    if len(lambdas) != n:
+        raise InputError(f"--lambdas needs {n} values (--n), got {len(lambdas)}")
+    return lambdas
+
+
+def _demo_eta(ctx, n_rep, args) -> int:
+    """Build eta(n_rep), then check condition (C) and the bijection on it."""
+    witness = build_eta(ctx, n_rep)
+    creport = check_condition_C(ctx, witness, budget=args.budget)
+    breport = check_bijection(ctx, n_rep, budget=args.budget)
+    _emit({"n": ctx.n,
+           "condition_c": creport.to_json(count_only=args.count_only),
+           "bijection": breport.to_json()}, args.output)
+    return 0 if creport.holds and breport.equal else 2
+
+
 def _cmd_demo(args) -> int:
     field = _parse_field(args.field)
     if args.which == "case2":
         if args.n < 2:
             raise InputError(f"--n must be at least 2, got {args.n}")
-        lambdas = None
-        if args.lambdas is not None:
-            lambdas = [int(s) for s in args.lambdas.split(",") if s.strip()]
-        ctx = case2_instance(field, n=args.n, lambdas=lambdas)
-        n_rep = coordinate_inclusion_N(field, ctx.n)
-        witness = build_eta(ctx, n_rep)
-        creport = check_condition_C(ctx, witness, budget=args.budget)
-        breport = check_bijection(ctx, n_rep, budget=args.budget)
-        _emit({"n": ctx.n,
-               "condition_c": creport.to_json(count_only=args.count_only),
-               "bijection": breport.to_json()}, args.output)
-        return 0 if creport.holds and breport.equal else 2
+        ctx = case2_instance(field, n=args.n,
+                             lambdas=_parse_lambdas(args.lambdas, args.n))
+        return _demo_eta(ctx, coordinate_inclusion_N(field, ctx.n), args)
     if args.which == "case1":
-        ctx = case1_instance(field)
-        n_rep = regular_N(field)
-        witness = build_eta(ctx, n_rep)
-        creport = check_condition_C(ctx, witness, budget=args.budget)
-        breport = check_bijection(ctx, n_rep, budget=args.budget)
-        _emit({"n": ctx.n,
-               "condition_c": creport.to_json(count_only=args.count_only),
-               "bijection": breport.to_json()}, args.output)
-        return 0 if creport.holds and breport.equal else 2
+        return _demo_eta(case1_instance(field), regular_N(field), args)
     if args.b not in (1, 2, 3):
         raise InputError(f"--b must be 1, 2 or 3, got {args.b}")
     report = remark_counterexample_demo(field, b=args.b, budget=args.budget)

@@ -351,15 +351,7 @@ def bristle_points(n_rep: Representation,
     src, tgt, arrow_ids = shape
     d = {src: 1, tgt: 1}
     full = enumerate_submodules(n_rep, d, budget=budget)
-    keep = []
-    for pt in full.points:
-        s1 = pt.subspaces[src]
-        s2 = pt.subspaces[tgt]
-        alive = False
-        for aid in arrow_ids:
-            if (s1 * n_rep.matrices[aid].transpose()).rank() > 0:
-                alive = True
-                break
-        if alive:
-            keep.append(pt)
+    keep = [pt for pt in full.points
+            if any((pt.subspaces[src] * n_rep.matrices[aid].transpose()).rank() > 0
+                   for aid in arrow_ids)]
     return GrassmannianReport(n_rep, d, tuple(keep), len(keep), n_rep.field)

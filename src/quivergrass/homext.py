@@ -118,36 +118,21 @@ def _differential(m: Representation, n: Representation) -> _Differential:
     return _Differential(mat, dom_bases, cod_bases, d0, d1)
 
 
-def _unflatten_domain(vec, diff: _Differential, m: Representation,
-                      n: Representation) -> Dict[str, Matrix]:
-    maps = {}
-    for v in m.quiver.vertices:
-        base = diff.dom_bases[v]
-        nr, nc = n.dims[v], m.dims[v]
-        rows = tuple(tuple(vec[base + r * nc + c] for c in range(nc)) for r in range(nr))
-        maps[v] = Matrix(m.field, rows, ncols=nc, _trusted=True)
-    return maps
-
-
-def _unflatten_codomain(vec, diff: _Differential, m: Representation,
-                        n: Representation) -> Dict[str, Matrix]:
-    comps = {}
-    for a in m.quiver.arrows:
-        base = diff.cod_bases[a.id]
-        nr, nc = n.dims[a.target], m.dims[a.source]
-        rows = tuple(tuple(vec[base + r * nc + c] for c in range(nc)) for r in range(nr))
-        comps[a.id] = Matrix(m.field, rows, ncols=nc, _trusted=True)
-    return comps
+def _unflatten(vec, blocks, field: FieldSpec) -> Dict[str, Matrix]:
+    """Cut a flat vector into row-major matrices; blocks maps each key to
+    its (offset, rows, cols)."""
+    return {key: Matrix(field, tuple(tuple(vec[base + r * nc + c] for c in range(nc))
+                                     for r in range(nr)), ncols=nc, _trusted=True)
+            for key, (base, nr, nc) in blocks.items()}
 
 
 def hom_basis(m: Representation, n: Representation) -> HomBasis:
     """Canonical basis of the space of homomorphisms m -> n."""
     diff = _differential(m, n)
-    basis = []
-    for vec in kernel_basis(diff.matrix).entries:
-        maps = _unflatten_domain(vec, diff, m, n)
-        basis.append(Morphism(m, n, maps))
-    return HomBasis(m, n, tuple(basis))
+    blocks = {v: (diff.dom_bases[v], n.dims[v], m.dims[v]) for v in m.quiver.vertices}
+    basis = tuple(Morphism(m, n, _unflatten(vec, blocks, m.field))
+                  for vec in kernel_basis(diff.matrix).entries)
+    return HomBasis(m, n, basis)
 
 
 def hom_ext_dims(m: Representation, n: Representation) -> Tuple[int, int]:
@@ -169,28 +154,16 @@ def ext1(m: Representation, n: Representation) -> Ext1Result:
     res = rref(diff.matrix.transpose())
     pivots = set(res.pivots)
     field = m.field
+    blocks = {a.id: (diff.cod_bases[a.id], n.dims[a.target], m.dims[a.source])
+              for a in m.quiver.arrows}
     basis = []
     for coord in range(diff.d1):
         if coord in pivots:
             continue
         vec = [field.zero] * diff.d1
         vec[coord] = field.one
-        comps = _unflatten_codomain(vec, diff, m, n)
-        basis.append(ExtCocycle(m, n, comps))
+        basis.append(ExtCocycle(m, n, _unflatten(vec, blocks, field)))
     return Ext1Result(len(basis), tuple(basis))
-
-
-def cocycle_is_coboundary(eps: ExtCocycle) -> bool:
-    """True when the cocycle lies in the image of d0 (the extension splits)."""
-    from .exactlinalg import solve
-    m, n = eps.source, eps.target
-    diff = _differential(m, n)
-    vec = []
-    for a in m.quiver.arrows:
-        comp = eps.components[a.id]
-        for row in comp.entries:
-            vec.extend(row)
-    return solve(diff.matrix, vec) is not None
 
 
 def euler_form(q: Quiver, d: DimVector, e: DimVector) -> int:

@@ -19,7 +19,6 @@ from .exactlinalg import (
     FieldSpec,
     Matrix,
     block_diag,
-    kernel_basis,
     matrix_from_json,
     matrix_to_json,
     row_space,
@@ -33,10 +32,6 @@ DimVector = Dict[str, int]
 
 class NotASubmodule(ValueError):
     """The given subspaces are not stable under all arrow maps."""
-
-
-class IsomorphismInconclusive(RuntimeError):
-    """All search budgets were exhausted without a definitive answer."""
 
 
 class Arrow(NamedTuple):
@@ -320,15 +315,6 @@ def rep_power(m: Representation, a: int) -> Representation:
     return out
 
 
-def restrict(m: Representation, vertices: Optional[Iterable[str]] = None,
-             arrows: Optional[Iterable[str]] = None) -> Representation:
-    """Restriction to a subquiver (vertex subset, or explicit arrow subset)."""
-    sub = m.quiver.subquiver(vertices, arrows)
-    dims = {v: m.dims[v] for v in sub.vertices}
-    mats = {a.id: m.matrices[a.id] for a in sub.arrows}
-    return Representation(sub, m.field, dims, mats)
-
-
 def dual(m: Representation) -> Representation:
     """Dual representation on the opposite quiver (transposed matrices)."""
     mats = {a.id: m.matrices[a.id].transpose() for a in m.quiver.arrows}
@@ -378,14 +364,6 @@ class Morphism:
 
     def is_surjective(self) -> bool:
         return all(self.maps[v].rank() == self.target.dims[v] for v in self.maps)
-
-    def is_invertible(self) -> bool:
-        return (all(self.maps[v].is_square for v in self.maps) and self.is_injective()
-                and self.is_surjective())
-
-
-def identity_morphism(m: Representation) -> Morphism:
-    return Morphism(m, m, {v: Matrix.identity(m.field, m.dims[v]) for v in m.quiver.vertices})
 
 
 @dataclass(frozen=True)
@@ -572,99 +550,6 @@ def random_representation(q: Quiver, field: FieldSpec, rng: random.Random,
                     for _ in range(dims[a.target])]
         mats[a.id] = Matrix(field, rows, ncols=dims[a.source])
     return Representation(q, field, dims, mats)
-
-
-def _hom_dim_pair(m1: Representation, m2: Representation) -> int:
-    from .homext import hom_ext_dims
-    return hom_ext_dims(m1, m2)[0]
-
-
-def is_isomorphic(m1: Representation, m2: Representation, seed: int = 0,
-                  exhaustive_limit: int = 10 ** 6, trials: int = 200) -> bool:
-    """Decide whether two representations are isomorphic.
-
-    Strategy: structural rejections first (dimension vectors, Hom and End
-    dimensions), then a search for an invertible element of Hom(m1, m2).
-    Over a prime field the search is exhaustive whenever the Hom space has at
-    most exhaustive_limit elements; otherwise `trials` seeded random
-    combinations are tried (missing an existing isomorphism has probability
-    at most (D/p)^trials for total dimension D < p, and the search falls back
-    to exhaustion when the Hom space dimension is at most 6).  Over the
-    rationals random integer combinations are tried.  When every budget runs
-    out, IsomorphismInconclusive is raised rather than guessing.
-    """
-    from .homext import hom_basis
-    if m1.quiver != m2.quiver or m1.field != m2.field:
-        raise ValueError("representations live on different quivers or fields")
-    if m1.dims != m2.dims:
-        return False
-    if m1.total_dim == 0:
-        return True
-    h12 = hom_basis(m1, m2).basis
-    if not h12:
-        return False
-    h21_dim = _hom_dim_pair(m2, m1)
-    e1 = _hom_dim_pair(m1, m1)
-    e2 = _hom_dim_pair(m2, m2)
-    if not (len(h12) == h21_dim == e1 == e2):
-        return False
-    verts = list(m1.quiver.vertices)
-    basis_maps = [f.maps for f in h12]
-    dims = m1.dims
-    field = m1.field
-
-    def invertible(coeffs) -> bool:
-        for v in verts:
-            d = dims[v]
-            if d == 0:
-                continue
-            acc = None
-            for c, maps in zip(coeffs, basis_maps):
-                if c == 0:
-                    continue
-                term = maps[v].scale(c)
-                acc = term if acc is None else acc + term
-            if acc is None or rref(acc).rank != d:
-                return False
-        return True
-
-    k = len(h12)
-    if field.is_prime:
-        p = field.p
-        # invertibility is scalar invariant, so it is enough to scan maps whose
-        # first nonzero coefficient is 1; there are (p^k - 1)/(p - 1) of those
-        candidates = (p ** k - 1) // (p - 1)
-
-        def exhaust() -> bool:
-            from itertools import product as iproduct
-            for lead in range(k):
-                for tail in iproduct(range(p), repeat=k - lead - 1):
-                    coeffs = (0,) * lead + (1,) + tail
-                    if invertible(coeffs):
-                        return True
-            return False
-
-        if candidates <= exhaustive_limit:
-            return exhaust()
-        rng = random.Random(seed)
-        for _ in range(trials):
-            coeffs = tuple(rng.randrange(p) for _ in range(k))
-            if invertible(coeffs):
-                return True
-        if candidates <= 10 * exhaustive_limit:
-            return exhaust()
-        raise IsomorphismInconclusive(
-            f"Hom space of dim {k} over F_{p} too large for exhaustion; "
-            f"{trials} random trials found no isomorphism")
-    rng = random.Random(seed)
-    for t in range(trials):
-        bound = 2 + t
-        coeffs = tuple(rng.randint(-bound, bound) for _ in range(k))
-        if invertible(coeffs):
-            return True
-    raise IsomorphismInconclusive(
-        "random search over the rationals found no isomorphism; "
-        "structure suggests the modules may still be isomorphic")
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from quivergrass.quiverrep import (
     dim_add,
     direct_sum,
     image_point,
-    is_isomorphic,
     make_kronecker,
     make_representation,
     quotient_representation,
@@ -44,6 +43,8 @@ from quivergrass.quiverrep import (
     rep_power,
     sub_representation,
 )
+
+from oracles import is_isomorphic, projective_coefficients
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -65,16 +66,13 @@ def _combination(basis, coeffs, source, target):
 def injective_hom_with_quotient_by_search(ctx, u):
     """Some injective X -> u, first nonzero coefficient 1, with cokernel Y."""
     basis = hom_basis(ctx.x, u).basis
-    k = len(basis)
-    for lead in range(k):
-        for tail in product(range(u.field.p), repeat=k - lead - 1):
-            coeffs = (0,) * lead + (1,) + tail
-            f = Morphism(ctx.x, u, _combination(basis, coeffs, ctx.x, u))
-            if not f.is_injective():
-                continue
-            quot, _ = quotient_representation(image_point(f))
-            if is_isomorphic(quot, ctx.y):
-                return True
+    for coeffs in projective_coefficients(len(basis), u.field.p):
+        f = Morphism(ctx.x, u, _combination(basis, coeffs, ctx.x, u))
+        if not f.is_injective():
+            continue
+        quot, _ = quotient_representation(image_point(f))
+        if is_isomorphic(quot, ctx.y):
+            return True
     return False
 
 

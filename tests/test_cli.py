@@ -236,6 +236,12 @@ def test_bad_flags(capsys):
         code, out, err = run_cli(capsys, ["demo", "remark", "--b", value])
         assert (code, out) == (1, "")
         assert err == f"error: --b must be 1, 2 or 3, got {value}\n"
+    for argv, msg in (
+            (["--lambdas", "1,x"], "--lambdas must be comma-separated integers, got '1,x'"),
+            (["--n", "3", "--lambdas", "1,2"], "--lambdas needs 3 values (--n), got 2"),
+            (["--lambdas", ","], "--lambdas needs 2 values (--n), got 0")):
+        code, out, err = run_cli(capsys, ["demo", "case2", *argv])
+        assert (code, out, err) == (1, "", f"error: {msg}\n")
     code, _, _ = run_cli(capsys, ["--help"])
     assert code == 0
 

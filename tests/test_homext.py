@@ -6,7 +6,6 @@ from quivergrass.exactlinalg import FieldSpec, Matrix
 from quivergrass.homext import (
     ExtCocycle,
     are_orthogonal_bricks,
-    cocycle_is_coboundary,
     euler_form,
     ext1,
     has_brick_summand,
@@ -28,6 +27,8 @@ from quivergrass.quiverrep import (
     simple,
     zero_representation,
 )
+
+from oracles import cocycle_is_coboundary
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
