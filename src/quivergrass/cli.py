@@ -305,7 +305,7 @@ def _parse_lambdas(text: Optional[str], n: int):
     if text is None:
         return None
     try:
-        lambdas = [int(s) for s in text.split(",") if s.strip()]
+        lambdas = [int(s) for s in text.split(",")]
     except ValueError:
         raise InputError(f"--lambdas must be comma-separated integers, got {text!r}")
     if len(lambdas) != n:

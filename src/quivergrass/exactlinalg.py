@@ -2,8 +2,10 @@
 
 Everything here is exact: prime field elements are Python ints reduced into
 [0, p), rational entries are fractions.Fraction in lowest terms.  No floats
-anywhere.  The module provides the canonical reduced row echelon form (RREF),
-kernel bases, linear solving, and a deterministic enumeration of all
+anywhere.  FieldSpec alone knows how entries reduce: every matrix operation and
+kernel here is one body over its row primitives (x + f*y, c*x, a row times a
+list of columns).  The module provides the canonical reduced row echelon form
+(RREF), kernel bases, linear solving, and a deterministic enumeration of all
 k-dimensional subspaces of F_p^n by canonical RREF representatives.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -106,6 +109,30 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of zero")
         return Fraction(1) / x
 
+    # Row primitives: each takes and returns canonical rows, as lists.
+
+    def add_scaled(self, x, f, y) -> list:
+        """The row x + f*y."""
+        p = self.p
+        if p is None:
+            return [a + f * b for a, b in zip(x, y)]
+        return [(a + f * b) % p for a, b in zip(x, y)]
+
+    def scale_row(self, c, x) -> list:
+        """The row c*x."""
+        p = self.p
+        if p is None:
+            return [c * a for a in x]
+        return [c * a % p for a in x]
+
+    def row_times(self, x, cols) -> list:
+        """The row x times each column in cols; an empty x gives zeros."""
+        p = self.p
+        if p is None:
+            z = Fraction(0)
+            return [sum(map(mul, x, col), z) for col in cols]
+        return [sum(map(mul, x, col)) % p for col in cols]
+
 
 class Matrix:
     """Immutable dense matrix with exact entries over a FieldSpec.
@@ -177,36 +204,23 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._assert_same_shape(other)
-        if self.field.is_prime:
-            p = self.field.p
-            rows = tuple(tuple((a + b) % p for a, b in zip(r1, r2))
-                         for r1, r2 in zip(self.entries, other.entries))
-        else:
-            rows = tuple(tuple(a + b for a, b in zip(r1, r2))
-                         for r1, r2 in zip(self.entries, other.entries))
+        add = self.field.add_scaled
+        rows = tuple(tuple(add(r1, 1, r2)) for r1, r2 in zip(self.entries, other.entries))
         return Matrix(self.field, rows, ncols=self.ncols, _trusted=True)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._assert_same_shape(other)
-        if self.field.is_prime:
-            p = self.field.p
-            rows = tuple(tuple((a - b) % p for a, b in zip(r1, r2))
-                         for r1, r2 in zip(self.entries, other.entries))
-        else:
-            rows = tuple(tuple(a - b for a, b in zip(r1, r2))
-                         for r1, r2 in zip(self.entries, other.entries))
+        add = self.field.add_scaled
+        rows = tuple(tuple(add(r1, -1, r2)) for r1, r2 in zip(self.entries, other.entries))
         return Matrix(self.field, rows, ncols=self.ncols, _trusted=True)
 
     def __neg__(self) -> "Matrix":
-        return self.scale(-1 if self.field.is_prime else Fraction(-1))
+        return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
-        if self.field.is_prime:
-            p = self.field.p
-            rows = tuple(tuple((c * a) % p for a in r) for r in self.entries)
-        else:
-            rows = tuple(tuple(c * a for a in r) for r in self.entries)
+        scale_row = self.field.scale_row
+        rows = tuple(tuple(scale_row(c, r)) for r in self.entries)
         return Matrix(self.field, rows, ncols=self.ncols, _trusted=True)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
@@ -216,19 +230,9 @@ class Matrix:
             raise ValueError("field mismatch in matrix product")
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-        cols = list(zip(*other.entries)) if other.entries else []
-        if self.field.is_prime:
-            p = self.field.p
-            rows = tuple(
-                tuple(sum(a * b for a, b in zip(arow, col)) % p for col in cols)
-                if cols else tuple(0 for _ in range(other.ncols))
-                for arow in self.entries)
-        else:
-            z = Fraction(0)
-            rows = tuple(
-                tuple(sum((a * b for a, b in zip(arow, col)), z) for col in cols)
-                if cols else tuple(z for _ in range(other.ncols))
-                for arow in self.entries)
+        cols = other.transpose().entries
+        row_times = self.field.row_times
+        rows = tuple(tuple(row_times(arow, cols)) for arow in self.entries)
         return Matrix(self.field, rows, ncols=other.ncols, _trusted=True)
 
     def transpose(self) -> "Matrix":
@@ -297,21 +301,10 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; index (i*rb + k, j*cb + l) carries a[i,j]*b[k,l]."""
     if a.field != b.field:
         raise ValueError("field mismatch")
-    field = a.field
-    ra, ca = a.shape
-    rb, cb = b.shape
-    if field.is_prime:
-        p = field.p
-        rows = tuple(
-            tuple((a.entries[i][j] * b.entries[k][l]) % p
-                  for j in range(ca) for l in range(cb))
-            for i in range(ra) for k in range(rb))
-    else:
-        rows = tuple(
-            tuple(a.entries[i][j] * b.entries[k][l]
-                  for j in range(ca) for l in range(cb))
-            for i in range(ra) for k in range(rb))
-    return Matrix(field, rows, ncols=ca * cb, _trusted=True)
+    scale_row = a.field.scale_row
+    rows = tuple(tuple(x for aij in arow for x in scale_row(aij, brow))
+                 for arow in a.entries for brow in b.entries)
+    return Matrix(a.field, rows, ncols=a.ncols * b.ncols, _trusted=True)
 
 
 class RrefResult(NamedTuple):
@@ -321,42 +314,15 @@ class RrefResult(NamedTuple):
 
 
 def _rref_rows(rows: list, ncols: int, field: FieldSpec) -> tuple:
-    """In-place RREF on a list of row lists.  Returns (rank, pivot columns)."""
+    """In-place RREF on a list of rows.  Returns (rank, pivot columns)."""
     nrows = len(rows)
-    if field.is_prime:
-        p = field.p
-        r = 0
-        pivots = []
-        for c in range(ncols):
-            pr = None
-            for i in range(r, nrows):
-                if rows[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            piv = rows[r][c]
-            if piv != 1:
-                inv = pow(piv, p - 2, p)
-                rows[r] = [(x * inv) % p for x in rows[r]]
-            rowr = rows[r]
-            for i in range(nrows):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rowr)]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        return r, tuple(pivots)
-    zero = Fraction(0)
+    add_scaled, scale_row = field.add_scaled, field.scale_row
     r = 0
     pivots = []
     for c in range(ncols):
         pr = None
         for i in range(r, nrows):
-            if rows[i][c] != zero:
+            if rows[i][c]:
                 pr = i
                 break
         if pr is None:
@@ -364,12 +330,11 @@ def _rref_rows(rows: list, ncols: int, field: FieldSpec) -> tuple:
         rows[r], rows[pr] = rows[pr], rows[r]
         piv = rows[r][c]
         if piv != 1:
-            rows[r] = [x / piv for x in rows[r]]
+            rows[r] = scale_row(field.inv(piv), rows[r])
         rowr = rows[r]
         for i in range(nrows):
-            if i != r and rows[i][c] != zero:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rowr)]
+            if i != r and rows[i][c]:
+                rows[i] = add_scaled(rows[i], -rows[i][c], rowr)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -395,6 +360,15 @@ def row_space(m: Matrix) -> Matrix:
     return Matrix(m.field, rows, ncols=m.ncols, _trusted=True)
 
 
+def pivot_columns(basis: Matrix) -> tuple:
+    """Pivot columns of a canonical RREF basis: each row's first nonzero entry.
+
+    A vector in the row space has as its coordinates in that basis its entries
+    at these columns.
+    """
+    return tuple(next(j for j, x in enumerate(row) if x) for row in basis.entries)
+
+
 def kernel_basis(m: Matrix) -> Matrix:
     """Basis of the right null space {x : m x = 0}, rows of the result.
 
@@ -407,17 +381,12 @@ def kernel_basis(m: Matrix) -> Matrix:
     field = m.field
     z, o = field.zero, field.one
     rows = []
-    red = res.reduced.entries
+    red = res.reduced.entries[:res.rank]
     for f in free:
         vec = [z] * m.ncols
         vec[f] = o
-        for r, pc in enumerate(res.pivots):
-            val = red[r][f]
-            if val != z:
-                if field.is_prime:
-                    vec[pc] = (-val) % field.p
-                else:
-                    vec[pc] = -val
+        for pc, val in zip(res.pivots, field.scale_row(-o, [row[f] for row in red])):
+            vec[pc] = val
         rows.append(vec)
     rank, _ = _rref_rows(rows, m.ncols, field)
     return Matrix(field, tuple(tuple(r) for r in rows[:rank]), ncols=m.ncols, _trusted=True)

@@ -92,28 +92,23 @@ def _differential(m: Representation, n: Representation) -> _Differential:
         off += n.dims[a.target] * m.dims[a.source]
     d1 = off
     rows = [[field.zero] * d0 for _ in range(d1)]
+    minus_one = field.coerce(-1)
     for a in q.arrows:
+        # the quiver is acyclic, so i != j and the f_i and f_j blocks of a row
+        # are disjoint: every entry is written at most once
         i, j = a.source, a.target
-        na = n.matrices[a.id]   # n_j x n_i
-        ma = m.matrices[a.id]   # m_j x m_i
         base = cod_bases[a.id]
         mi, mj = m.dims[i], m.dims[j]
-        for r in range(n.dims[j]):
+        fi, fj, ni = dom_bases[i], dom_bases[j], n.dims[i]
+        neg_cols = [field.scale_row(minus_one, col)
+                    for col in m.matrices[a.id].transpose().entries]
+        for r, na_row in enumerate(n.matrices[a.id].entries):
             for c in range(mi):
                 row = rows[base + r * mi + c]
                 # (N_a f_i)[r,c] contributes +N_a[r,s] at f_i[s,c]
-                for s in range(n.dims[i]):
-                    val = na.entries[r][s]
-                    if val != field.zero:
-                        row[dom_bases[i] + s * mi + c] += val
+                row[fi + c:fi + ni * mi:mi] = na_row
                 # (f_j M_a)[r,c] contributes -M_a[t,c] at f_j[r,t]
-                for t in range(mj):
-                    val = ma.entries[t][c]
-                    if val != field.zero:
-                        row[dom_bases[j] + r * mj + t] -= val
-    if field.is_prime:
-        p = field.p
-        rows = [[x % p for x in row] for row in rows]
+                row[fj + r * mj:fj + (r + 1) * mj] = neg_cols[c]
     mat = Matrix(field, tuple(tuple(row) for row in rows), ncols=d0, _trusted=True)
     return _Differential(mat, dom_bases, cod_bases, d0, d1)
 

@@ -21,10 +21,8 @@ from .exactlinalg import (
     block_diag,
     matrix_from_json,
     matrix_to_json,
+    pivot_columns,
     row_space,
-    rref,
-    solve,
-    vstack,
 )
 
 DimVector = Dict[str, int]
@@ -406,14 +404,27 @@ class SubmodulePoint:
 
     def is_stable(self) -> bool:
         """True when every arrow maps the source subspace into the target one."""
+        return self._restricted_arrows() is not None
+
+    def _restricted_arrows(self) -> Optional[Dict[str, Matrix]]:
+        """Each arrow's matrix on the chosen bases, or None if one leaves them.
+
+        The coordinates of a vector in a canonical RREF basis S are its entries
+        at S's pivot columns, so the image rows S_src A^T lie in S_tgt exactly
+        when coords * S_tgt == image; the restricted arrow is coords^T.
+        """
+        field = self.parent.field
+        pivots = {v: pivot_columns(s) for v, s in self.subspaces.items()}
+        mats = {}
         for a in self.parent.quiver.arrows:
-            s_src = self.subspaces[a.source]
-            s_tgt = self.subspaces[a.target]
-            image = s_src * self.parent.matrices[a.id].transpose()
-            stacked = vstack([s_tgt, image])
-            if rref(stacked).rank != s_tgt.nrows:
-                return False
-        return True
+            image = self.subspaces[a.source] * self.parent.matrices[a.id].transpose()
+            piv = pivots[a.target]
+            coords = Matrix(field, tuple(tuple(row[c] for c in piv) for row in image.entries),
+                            ncols=len(piv), _trusted=True)
+            if coords * self.subspaces[a.target] != image:
+                return None
+            mats[a.id] = coords.transpose()
+        return mats
 
     def canonical_key(self):
         order = self.parent.quiver.topological_order()
@@ -428,25 +439,12 @@ def sub_representation(pt: SubmodulePoint):
     """
     parent = pt.parent
     q = parent.quiver
-    field = parent.field
-    if not pt.is_stable():
+    mats = pt._restricted_arrows()
+    if mats is None:
         raise NotASubmodule("subspaces are not stable under the arrow maps")
     dims = {v: pt.subspaces[v].nrows for v in q.vertices}
     incl = {v: pt.subspaces[v].transpose() for v in q.vertices}
-    mats = {}
-    for a in q.arrows:
-        cols = []
-        image = parent.matrices[a.id] * incl[a.source]  # d_t x k_s
-        for j in range(dims[a.source]):
-            col = tuple(image.entries[i][j] for i in range(image.nrows))
-            x = solve(incl[a.target], col)
-            if x is None:
-                raise NotASubmodule(f"arrow {a.id} image leaves the subspace")
-            cols.append(x)
-        rows = tuple(tuple(cols[j][i] for j in range(dims[a.source]))
-                     for i in range(dims[a.target]))
-        mats[a.id] = Matrix(field, rows, ncols=dims[a.source], _trusted=True)
-    sub = Representation(q, field, dims, mats)
+    sub = Representation(q, parent.field, dims, mats)
     inclusion = Morphism(sub, parent, incl)
     return sub, inclusion
 
@@ -463,30 +461,25 @@ def quotient_representation(pt: SubmodulePoint):
     field = parent.field
     if not pt.is_stable():
         raise NotASubmodule("subspaces are not stable under the arrow maps")
+    minus_one = field.coerce(-1)
     proj_maps = {}
     lift_maps = {}
     dims = {}
     for v in q.vertices:
         s = pt.subspaces[v]
         d = parent.dims[v]
-        res = rref(s)
-        pivots = list(res.pivots)
+        pivots = pivot_columns(s)
         pivset = set(pivots)
         free = [c for c in range(d) if c not in pivset]
         dims[v] = len(free)
         # proj = Sel_free (I - S^T Sel_pivot): kills the subspace, hits free coords
         st = s.transpose()
         rows = []
-        for fi, fcol in enumerate(free):
+        for fcol in free:
             row = [field.zero] * d
             row[fcol] = field.one
-            for r, pc in enumerate(pivots):
-                val = st.entries[fcol][r]
-                if val != field.zero:
-                    if field.is_prime:
-                        row[pc] = (row[pc] - val) % field.p
-                    else:
-                        row[pc] = row[pc] - val
+            for pc, val in zip(pivots, field.scale_row(minus_one, st.entries[fcol])):
+                row[pc] = val
             rows.append(tuple(row))
         proj_maps[v] = Matrix(field, tuple(rows), ncols=d, _trusted=True)
         lrows = tuple(tuple(field.one if free[j] == i else field.zero

@@ -1,13 +1,17 @@
 """Slow, deterministic oracles that tests compare the package against.
 
-Neither is used by quivergrass itself: its checkers decide isomorphism with
-brick theory (homext.is_brick_power) and never need a splitting test.
+None is used by quivergrass itself: its checkers decide isomorphism with
+brick theory (homext.is_brick_power) and never need a splitting test, its
+kernels reduce entries through FieldSpec's row primitives, and it reads
+submodule coordinates off canonical bases instead of solving.
 """
 
+from fractions import Fraction
 from itertools import product
 
-from quivergrass.exactlinalg import solve
+from quivergrass.exactlinalg import Matrix, solve
 from quivergrass.homext import _differential, hom_basis, hom_ext_dims
+from quivergrass.quiverrep import Morphism, NotASubmodule, Representation
 
 
 def projective_coefficients(k, p):
@@ -53,3 +57,108 @@ def cocycle_is_coboundary(eps):
     vec = [x for a in m.quiver.arrows for row in eps.components[a.id].entries
            for x in row]
     return solve(_differential(m, n).matrix, vec) is not None
+
+
+def reference_rref_rows(rows, ncols, field):
+    """In-place RREF with a separate prime and rational body, entry by entry.
+
+    Returns (rank, pivot columns), like exactlinalg._rref_rows.
+    """
+    nrows = len(rows)
+    if field.is_prime:
+        p = field.p
+        r = 0
+        pivots = []
+        for c in range(ncols):
+            pr = None
+            for i in range(r, nrows):
+                if rows[i][c]:
+                    pr = i
+                    break
+            if pr is None:
+                continue
+            rows[r], rows[pr] = rows[pr], rows[r]
+            piv = rows[r][c]
+            if piv != 1:
+                inv = pow(piv, p - 2, p)
+                rows[r] = [(x * inv) % p for x in rows[r]]
+            rowr = rows[r]
+            for i in range(nrows):
+                if i != r and rows[i][c]:
+                    f = rows[i][c]
+                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rowr)]
+            pivots.append(c)
+            r += 1
+            if r == nrows:
+                break
+        return r, tuple(pivots)
+    zero = Fraction(0)
+    r = 0
+    pivots = []
+    for c in range(ncols):
+        pr = None
+        for i in range(r, nrows):
+            if rows[i][c] != zero:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        piv = rows[r][c]
+        if piv != 1:
+            rows[r] = [x / piv for x in rows[r]]
+        rowr = rows[r]
+        for i in range(nrows):
+            if i != r and rows[i][c] != zero:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rowr)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return r, tuple(pivots)
+
+
+def reference_matmul(a, b):
+    """Matrix product with a separate prime and rational body."""
+    cols = list(zip(*b.entries)) if b.entries else []
+    if a.field.is_prime:
+        p = a.field.p
+        rows = tuple(
+            tuple(sum(x * y for x, y in zip(arow, col)) % p for col in cols)
+            if cols else tuple(0 for _ in range(b.ncols))
+            for arow in a.entries)
+    else:
+        z = Fraction(0)
+        rows = tuple(
+            tuple(sum((x * y for x, y in zip(arow, col)), z) for col in cols)
+            if cols else tuple(z for _ in range(b.ncols))
+            for arow in a.entries)
+    return Matrix(a.field, rows, ncols=b.ncols, _trusted=True)
+
+
+def solve_sub_representation(pt):
+    """(sub, inclusion) by solving for each image column in the target basis.
+
+    Raises NotASubmodule when some column has no solution.
+    """
+    parent = pt.parent
+    q = parent.quiver
+    field = parent.field
+    dims = {v: pt.subspaces[v].nrows for v in q.vertices}
+    incl = {v: pt.subspaces[v].transpose() for v in q.vertices}
+    mats = {}
+    for a in q.arrows:
+        cols = []
+        image = parent.matrices[a.id] * incl[a.source]  # d_t x k_s
+        for j in range(dims[a.source]):
+            col = tuple(image.entries[i][j] for i in range(image.nrows))
+            x = solve(incl[a.target], col)
+            if x is None:
+                raise NotASubmodule(f"arrow {a.id} image leaves the subspace")
+            cols.append(x)
+        rows = tuple(tuple(cols[j][i] for j in range(dims[a.source]))
+                     for i in range(dims[a.target]))
+        mats[a.id] = Matrix(field, rows, ncols=dims[a.source], _trusted=True)
+    sub = Representation(q, field, dims, mats)
+    return sub, Morphism(sub, parent, incl)

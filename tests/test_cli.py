@@ -239,7 +239,10 @@ def test_bad_flags(capsys):
     for argv, msg in (
             (["--lambdas", "1,x"], "--lambdas must be comma-separated integers, got '1,x'"),
             (["--n", "3", "--lambdas", "1,2"], "--lambdas needs 3 values (--n), got 2"),
-            (["--lambdas", ","], "--lambdas needs 2 values (--n), got 0")):
+            (["--lambdas", ","], "--lambdas must be comma-separated integers, got ','"),
+            (["--lambdas", "1,,2"], "--lambdas must be comma-separated integers, got '1,,2'"),
+            (["--lambdas", "2, 4,"],
+             "--lambdas must be comma-separated integers, got '2, 4,'")):
         code, out, err = run_cli(capsys, ["demo", "case2", *argv])
         assert (code, out, err) == (1, "", f"error: {msg}\n")
     code, _, _ = run_cli(capsys, ["--help"])

@@ -1,8 +1,9 @@
-"""The package draws no randomness of its own.
+"""The package draws no randomness of its own, and reduces entries in one place.
 
 Its checkers are deterministic; the only random code is the pair of
 generators random_invertible and random_representation, which use the rng
-their caller passes in.
+their caller passes in.  Field entries are reduced mod p only by FieldSpec
+(and by grassmann's raw-row engine, which runs over F_p alone).
 """
 
 import ast
@@ -24,6 +25,37 @@ def test_package_makes_no_random_source():
                     and isinstance(node.func.value, ast.Name)
                     and node.func.value.id == "random"):
                 found.append(f"{path.name}:{node.lineno}: random.{node.func.attr}(...)")
+    assert found == []
+
+
+def _reduces_mod_p(node):
+    """A `x % p`, `x % <expr>.p` or `x %= p` expression."""
+    if isinstance(node, ast.BinOp):
+        op, right = node.op, node.right
+    elif isinstance(node, ast.AugAssign):
+        op, right = node.op, node.value
+    else:
+        return False
+    return isinstance(op, ast.Mod) and (
+        isinstance(right, ast.Name) and right.id == "p"
+        or isinstance(right, ast.Attribute) and right.attr == "p")
+
+
+def test_only_fieldspec_reduces_entries():
+    allowed = {"exactlinalg.py": {"FieldSpec", "_is_prime"}}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "grassmann.py":
+            continue
+        stack = [ast.parse(path.read_text(), filename=str(path))]
+        while stack:
+            node = stack.pop()
+            if (isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                    and node.name in allowed.get(path.name, ())):
+                continue
+            if _reduces_mod_p(node):
+                found.append(f"{path.name}:{node.lineno}")
+            stack.extend(ast.iter_child_nodes(node))
     assert found == []
 
 

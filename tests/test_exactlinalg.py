@@ -25,6 +25,8 @@ from quivergrass.exactlinalg import (
     vstack,
 )
 
+from oracles import reference_matmul, reference_rref_rows
+
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
@@ -180,6 +182,76 @@ def test_kernel_basis_property():
         assert prod.is_zero
         # canonical: already in reduced form
         assert rref(kb).reduced == kb or kb.nrows == 0
+
+
+def _canonical(m):
+    """Every entry is an int in [0, p), or a Fraction over Q."""
+    if m.field.is_prime:
+        return all(type(x) is int and 0 <= x < m.field.p for row in m.entries for x in row)
+    return all(type(x) is Fraction for row in m.entries for x in row)
+
+
+def _rank_deficient(field, nr, nc, rng):
+    """A product through an inner dimension of at most min(nr, nc)."""
+    inner = rng.randint(0, min(nr, nc))
+    return reference_matmul(rand_matrix(field, nr, inner, rng),
+                            rand_matrix(field, inner, nc, rng))
+
+
+def test_kernels_match_reference():
+    # seeded differential test of the row-primitive kernels against the old
+    # two-body ones, including 0-row, 0-column and empty-inner shapes
+    rng = random.Random(83)
+    fields = [FieldSpec.prime(p) for p in (2, 3, 5, 7, 2 ** 31 - 1)] + [QQ]
+    for field in fields:
+        for _ in range(40):
+            nr, nk, nc = (rng.randint(0, 4) for _ in range(3))
+            make = rand_matrix if rng.random() < 0.5 else _rank_deficient
+            a, a2 = make(field, nr, nk, rng), make(field, nr, nk, rng)
+            b, c = make(field, nk, nc, rng), rand_matrix(field, nc, nr, rng)
+            rows = [list(r) for r in a.entries]
+            rank, pivots = reference_rref_rows(rows, nk, field)
+            res = rref(a)
+            assert res.reduced.entries == tuple(tuple(r) for r in rows)
+            assert (res.rank, res.pivots) == (rank, pivots)
+            assert row_space(a).entries == tuple(tuple(r) for r in rows[:rank])
+            ker = kernel_basis(a)
+            # the canonical basis of ker(a) is the RREF basis of dimension nk - rank
+            assert ker.nrows == nk - rank and ker.ncols == nk
+            assert reference_matmul(a, ker.transpose()).is_zero
+            ker_rows = [list(r) for r in ker.entries]
+            reference_rref_rows(ker_rows, nk, field)
+            assert tuple(tuple(r) for r in ker_rows) == ker.entries
+            coerce = field.coerce
+            x = rng.choice([0, 1, -1, 2, Fraction(3)] if not field.is_prime
+                           else [0, 1, -1, 2, field.p - 1])
+            expected = {
+                "mul": reference_matmul(a, b),
+                "add": [[coerce(u + v) for u, v in zip(r1, r2)]
+                        for r1, r2 in zip(a.entries, a2.entries)],
+                "sub": [[coerce(u - v) for u, v in zip(r1, r2)]
+                        for r1, r2 in zip(a.entries, a2.entries)],
+                "neg": [[coerce(-u) for u in r] for r in a.entries],
+                "scale": [[coerce(x * u) for u in r] for r in a.entries],
+                "kron": [[coerce(a.entries[i][j] * c.entries[k][l])
+                          for j in range(nk) for l in range(nr)]
+                         for i in range(nr) for k in range(nc)],
+            }
+            got = {"mul": a * b, "add": a + a2, "sub": a - a2, "neg": -a,
+                   "scale": a.scale(x), "kron": kron(a, c)}
+            for op, m in got.items():
+                want = expected[op]
+                if not isinstance(want, Matrix):
+                    want = Matrix(field, want, ncols=m.ncols)
+                assert m == want and m.shape == want.shape, (field, op)
+                assert _canonical(m), (field, op)
+            for m in (res.reduced, ker):
+                assert _canonical(m)
+    for field in (F5, QQ):
+        empty = rand_matrix(field, 3, 0, rng) * rand_matrix(field, 0, 2, rng)
+        assert empty.is_zero and empty.shape == (3, 2)
+        assert all(x == field.zero and type(x) is type(field.zero)
+                   for row in empty.entries for x in row)
 
 
 def test_solve():

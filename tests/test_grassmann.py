@@ -34,6 +34,7 @@ from quivergrass.grassmann import (
 )
 from quivergrass.quiverrep import (
     Arrow,
+    NotASubmodule,
     Quiver,
     SubmodulePoint,
     change_of_basis,
@@ -41,12 +42,15 @@ from quivergrass.quiverrep import (
     make_kronecker,
     make_representation,
     projective,
+    quotient_representation,
     random_invertible,
     random_representation,
     simple,
     sub_representation,
     zero_representation,
 )
+
+from oracles import solve_sub_representation
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -229,6 +233,30 @@ def test_strategies_agree():
                     (m, d, strategy)
                 assert report.count == len(keys)
                 assert count_submodules(m, d, _strategy=strategy) == len(keys)
+
+
+def test_sub_representation_matches_solve_oracle():
+    # every point of the vertex-subspace products that test_strategies_agree
+    # filters: a stable one restricts its arrows as the per-column solve does,
+    # an unstable one is refused by is_stable and both constructions
+    rng = random.Random(59)
+    for m in _invariant_engine_modules(rng):
+        verts = list(m.quiver.vertices)
+        for k in range(m.dims["1"] + 1):
+            per_vertex = [list(enumerate_subspaces(m.dims[v], k, m.field)) for v in verts]
+            for combo in itertools.product(*per_vertex):
+                pt = SubmodulePoint(m, dict(zip(verts, combo)))
+                try:
+                    want_sub, want_incl = solve_sub_representation(pt)
+                except NotASubmodule:
+                    assert not pt.is_stable()
+                    for construct in (sub_representation, quotient_representation):
+                        with pytest.raises(NotASubmodule):
+                            construct(pt)
+                    continue
+                assert pt.is_stable()
+                sub, incl = sub_representation(pt)
+                assert sub == want_sub and incl.maps == want_incl.maps
 
 
 def closure_oracle(rows, ops, cap):
