@@ -109,7 +109,7 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of zero")
         return Fraction(1) / x
 
-    # Row primitives: each takes and returns canonical rows, as lists.
+    # Row primitives: each returns a new canonical row, as a list.
 
     def add_scaled(self, x, f, y) -> list:
         """The row x + f*y."""
