@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactlinalg import (
     FieldSpec,
@@ -34,7 +34,6 @@ from .homext import (
     hom_ext_dims,
     has_brick_summand,
     is_brick,
-    is_brick_power,
     is_reduced_kronecker,
 )
 from .quiverrep import (
@@ -45,11 +44,9 @@ from .quiverrep import (
     Representation,
     SubmodulePoint,
     dim_add,
-    image_point,
     kronecker_shape,
     make_kronecker,
     point_to_json,
-    quotient_representation,
     rep_power,
     simple,
     sub_representation,
@@ -306,40 +303,30 @@ def build_eta(ctx: EtaContext, n_rep: Representation) -> EtaWitness:
 # E-bristles and condition (C)
 # ---------------------------------------------------------------------------
 
-def _injective_hom_with_quotient(ctx: EtaContext, u: Representation) -> bool:
-    """Is there an injective map ctx.x -> u whose cokernel is ctx.y?
-
-    Such a map spans Hom(ctx.x, u) (see is_E_bristle), so only a one
-    dimensional Hom space can carry one, and its basis vector is the map.
-    As u has dimension vector x+y, the cokernel has that of y exactly when
-    the map is injective.
-    """
-    basis = hom_basis(ctx.x, u).basis
-    if len(basis) != 1:
-        return False
-    quot, _ = quotient_representation(image_point(basis[0]))
-    return is_brick_power(quot, ctx.y, 1)
-
-
 def is_E_bristle(ctx: EtaContext, u: Representation) -> bool:
     """Indecomposable middle term of a single-X, single-Y exact sequence.
 
-    Checks, in order: dimension vector equals xdim + ydim; some injective
-    morphism from ctx.x has cokernel isomorphic to ctx.y; u is a brick.
-
-    For a middle term u of 0 -> X -> u -> Y -> 0, applying Hom(X, -) gives
-    Hom(X, u) = Hom(X, X) = k because Hom(X, Y) = 0, so the inclusion is the
-    only candidate up to scalars.  Such a u is indecomposable exactly when it
-    is a brick: an endomorphism f acts on X by a scalar c and induces a
-    scalar c' on Y; if c' != c then (f - c)/(c' - c) splits the sequence,
-    and if c' = c then f - c factors through Hom(Y, X) = 0.
+    Checks, in order: dimension vector equals xdim + ydim; Hom(X, u) = k f
+    with f injective and Hom(u, Y) = k g with g surjective, at every vertex;
+    u is a brick.  The Hom conditions say that u is a middle term of
+    0 -> X -> u -> Y -> 0: g f lies in Hom(X, Y) = 0, and the image of f and
+    the kernel of g both have dimension vector xdim.  Conversely, applying
+    Hom(X, -) and Hom(-, Y) to the sequence gives Hom(X, u) = Hom(X, X) = k
+    and Hom(u, Y) = Hom(Y, Y) = k, spanned by the inclusion and the
+    projection.  Such a u is indecomposable exactly when it is a brick: an
+    endomorphism h acts on X by a scalar c and induces a scalar c' on Y; if
+    c' != c then (h - c)/(c' - c) splits the sequence, and if c' = c then
+    h - c factors through Hom(Y, X) = 0.
     """
     if u.quiver != ctx.x.quiver or u.field != ctx.x.field:
         raise ValueError("candidate lives on the wrong quiver or field")
-    want = dim_add(ctx.xdim, ctx.ydim)
-    if u.dims != want:
+    if u.dims != dim_add(ctx.xdim, ctx.ydim):
         return False
-    return _injective_hom_with_quotient(ctx, u) and is_brick(u)
+    into = hom_basis(ctx.x, u).basis
+    if len(into) != 1 or not into[0].is_injective():
+        return False
+    onto = hom_basis(u, ctx.y).basis
+    return len(onto) == 1 and onto[0].is_surjective() and is_brick(u)
 
 
 @dataclass(frozen=True)
@@ -396,22 +383,37 @@ class SubmoduleIsoReport:
         return data
 
 
+def _power_test(x: Representation) -> Callable[[SubmodulePoint], bool]:
+    """For a brick x: is a submodule point U of a power x^a itself a power of x?
+
+    Hom(x, x^a) = k^a because End(x) = k, so Hom(x, U) is a subspace W of
+    k^a of some dimension h, and the image of the evaluation map from
+    x (x) W is a copy of x^h inside U.  Hence U is isomorphic to a power of
+    x exactly when its dimension vector is h times that of x.
+    """
+    if not is_brick(x):
+        raise ValueError("power test requires a brick")
+
+    def is_power(pt: SubmodulePoint) -> bool:
+        sub, _ = sub_representation(pt)
+        h = hom_ext_dims(x, sub)[0]
+        return all(sub.dims[v] == h * x.dims[v] for v in x.quiver.vertices)
+    return is_power
+
+
 def check_lemma1(x: Representation, a: int,
                  budget: int = DEFAULT_BUDGET) -> SubmoduleIsoReport:
     """Every submodule of x^a with the dimension vector of x is a copy of x.
 
-    x must be a brick; each submodule is compared with x by is_brick_power.
+    x must be a brick; a submodule U is a copy of x exactly when
+    dim Hom(x, U) = 1 (see _power_test).
     """
     if a < 1:
         raise ValueError("need at least one copy")
-    xa = rep_power(x, a)
-    report = enumerate_submodules(xa, x.dim_vector, budget=budget)
-    failures = []
-    for pt in report.points:
-        sub, _ = sub_representation(pt)
-        if not is_brick_power(sub, x, 1):
-            failures.append(pt)
-    return SubmoduleIsoReport(not failures, report.count, tuple(failures))
+    is_power = _power_test(x)
+    report = enumerate_submodules(rep_power(x, a), x.dim_vector, budget=budget)
+    failures = tuple(pt for pt in report.points if not is_power(pt))
+    return SubmoduleIsoReport(not failures, report.count, failures)
 
 
 @dataclass(frozen=True)
@@ -424,6 +426,9 @@ class Lemma2Report:
         data = {"holds": self.holds,
                 "counts": {str(w): c for w, c in sorted(self.counts.items())},
                 "failure_count": len(self.failures)}
+        if not count_only:
+            data["failures"] = [{"w": w, "point": point_to_json(pt)}
+                                for w, pt in self.failures]
         return data
 
 
@@ -432,9 +437,10 @@ def check_lemma2(x: Representation, a: int,
     """Square-dimension submodules of x^a are powers of x.
 
     x must be a Kronecker-shaped brick with equal vertex dimensions (n, n).
-    For every w from 0 to a*n, all (w,w)-submodules of x^a must be isomorphic
-    to x^s with w = s*n (tested by is_brick_power); in particular none may
-    exist when n does not divide w.
+    For every w from 0 to a*n, all (w,w)-submodules U of x^a must be
+    isomorphic to x^s with w = s*n, which holds exactly when w = h*n for
+    h = dim Hom(x, U) (see _power_test); in particular none may exist when
+    n does not divide w.
     """
     shape = kronecker_shape(x.quiver)
     if shape is None:
@@ -445,23 +451,14 @@ def check_lemma2(x: Representation, a: int,
         raise ValueError("need equal dimensions at both vertices")
     if a < 1:
         raise ValueError("need at least one copy")
+    is_power = _power_test(x)
     xa = rep_power(x, a)
     counts: Dict[int, int] = {}
     failures: List[Tuple[int, SubmodulePoint]] = []
     for w in range(a * n + 1):
-        d = {src: w, tgt: w}
-        report = enumerate_submodules(xa, d, budget=budget)
+        report = enumerate_submodules(xa, {src: w, tgt: w}, budget=budget)
         counts[w] = report.count
-        divisible = (w == 0) if n == 0 else (w % n == 0)
-        if not divisible:
-            if report.count != 0:
-                failures.extend((w, pt) for pt in report.points)
-            continue
-        s = w // n if n else 0
-        for pt in report.points:
-            sub, _ = sub_representation(pt)
-            if not is_brick_power(sub, x, s):
-                failures.append((w, pt))
+        failures.extend((w, pt) for pt in report.points if not is_power(pt))
     return Lemma2Report(not failures, counts, tuple(failures))
 
 

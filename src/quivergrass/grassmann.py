@@ -297,7 +297,6 @@ def _choose_engine(m: Representation, d: DimVector, setup,
 
 
 def _points(m: Representation, d: DimVector, budget_limit: int,
-            strategy: Optional[str],
             walk_sinks: bool = True) -> Iterator[Tuple[int, Point]]:
     """(weight, point) pairs of G_d(m) from the chosen engine, under one budget."""
     if not m.field.is_prime:
@@ -307,35 +306,25 @@ def _points(m: Representation, d: DimVector, budget_limit: int,
         raise ValueError("target dimension vector exceeds the module's")
     budget = _Budget(budget_limit)
     setup = _invariant_setup(m, d)
-    if strategy is None:
-        strategy, closures = _choose_engine(m, d, setup, budget)
-    elif strategy == "invariant":
-        if setup is None:
-            raise ValueError("invariant-subspace engine does not apply here")
-        closures = _line_closures(m, d, setup, budget)
-    elif strategy != "scan":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "invariant":
+    engine, closures = _choose_engine(m, d, setup, budget)
+    if engine == "invariant":
         return _invariant(m, d, setup, closures, budget)
     return _scan(m, d, budget, walk_sinks)
 
 
 def enumerate_submodules(m: Representation, d: DimVector,
-                         budget: int = DEFAULT_BUDGET,
-                         _strategy: Optional[str] = None) -> GrassmannianReport:
+                         budget: int = DEFAULT_BUDGET) -> GrassmannianReport:
     """All submodule points of m with dimension vector d, sorted canonically."""
     # the engines emit canonical RREF subspaces, one per vertex
-    pts = [SubmodulePoint._trusted(m, s)
-           for _, s in _points(m, d, budget, _strategy)]
+    pts = [SubmodulePoint._trusted(m, s) for _, s in _points(m, d, budget)]
     pts.sort(key=lambda pt: pt.canonical_key())
     return GrassmannianReport(m, dict(d), tuple(pts), len(pts), m.field)
 
 
 def count_submodules(m: Representation, d: DimVector,
-                     budget: int = DEFAULT_BUDGET,
-                     _strategy: Optional[str] = None) -> int:
+                     budget: int = DEFAULT_BUDGET) -> int:
     """|G_d(m)(F_p)| without materializing the points or walking the sinks."""
-    return sum(w for w, _ in _points(m, d, budget, _strategy, walk_sinks=False))
+    return sum(w for w, _ in _points(m, d, budget, walk_sinks=False))
 
 
 def bristle_points(n_rep: Representation,

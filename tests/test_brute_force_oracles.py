@@ -1,12 +1,15 @@
 """Brute-force oracles for the theory-based checks of construct and homext.
 
-is_E_bristle decides a candidate u with one Hom(X, u) computation and a brick
-test, and the lemma checkers test u = x^s with is_brick_power.  The functions
-here are the searches those replaced: a scan of every map X -> u up to
-scalars with an is_isomorphic test of its cokernel, a scan of End(u) for
-nontrivial idempotents, and is_isomorphic against x^s.  The differential
-test requires equal verdicts on seeded changes of basis of the shipped
-instances, with both verdicts occurring.
+is_E_bristle decides a candidate u from the spanning maps of Hom(X, u) and
+Hom(u, Y) and a brick test.  The lemma checkers decide a submodule U of x^a
+by one Hom dimension, h = dim Hom(x, U), and a comparison of dimension
+vectors; is_brick_power decides m = x^s from a Hom basis and block ranks.
+The functions here are the searches those replaced: a scan of every map
+X -> u up to scalars with an is_isomorphic test of its cokernel, a scan of
+End(u) for nontrivial idempotents, and is_isomorphic against x^s.  The
+differential tests require equal verdicts on seeded changes of basis of the
+shipped instances, with both verdicts occurring; the lemma checkers are also
+compared with is_brick_power.
 """
 
 import random
@@ -28,7 +31,7 @@ from quivergrass.construct import (
 )
 from quivergrass.exactlinalg import FieldSpec, Matrix, block2x2
 from quivergrass.grassmann import enumerate_submodules
-from quivergrass.homext import hom_basis, is_brick_power
+from quivergrass.homext import hom_basis, is_brick, is_brick_power
 from quivergrass.quiverrep import (
     Morphism,
     Representation,
@@ -127,9 +130,20 @@ def _random_middle_terms(ctx, rng, count):
     return out
 
 
-def _submodules(m, d, **kw):
+def _glue(sub, quot, rng):
+    """u = [[S_a, eps_a], [0, Q_a]] for random eps: S a submodule, Q = u/S."""
+    field = sub.field
+    mats = {a.id: block2x2(sub.matrices[a.id],
+                           _random_matrix(field, sub.dims[a.target], quot.dims[a.source], rng),
+                           Matrix.zeros(field, quot.dims[a.target], sub.dims[a.source]),
+                           quot.matrices[a.id])
+            for a in sub.quiver.arrows}
+    return Representation(sub.quiver, field, dim_add(sub.dims, quot.dims), mats)
+
+
+def _submodules(m, d):
     return [(pt, sub_representation(pt)[0])
-            for pt in enumerate_submodules(m, d, **kw).points]
+            for pt in enumerate_submodules(m, d).points]
 
 
 def test_is_E_bristle_matches_search():
@@ -140,7 +154,7 @@ def test_is_E_bristle_matches_search():
         d = dim_add(ctx.xdim, ctx.ydim)
         for b in bs:
             m = _rebase(build_eta(ctx, remark_N(field, b)).m, rng)
-            cases += [(ctx, u) for _, u in _submodules(m, d, _strategy="invariant")]
+            cases += [(ctx, u) for _, u in _submodules(m, d)]
     for field in (F2, F3, F5):
         ctx = case1_instance(field)
         m = _rebase(build_eta(ctx, regular_N(field)).m, rng)
@@ -163,6 +177,32 @@ def test_is_E_bristle_matches_search():
     assert 0 < sum(verdicts) < len(verdicts)
 
 
+def test_is_E_bristle_needs_injective_and_surjective_spans():
+    # bricks u whose one-dimensional Hom(X, u) is spanned by a map that is not
+    # injective, and, with the roles of X' and Y swapped, whose Hom(u, Y) is
+    # spanned by a map that is not surjective: u contains X'/V (resp. maps
+    # onto V), V the (1,1) submodule of X'
+    rng = random.Random(31)
+    xprime, y = remark_Xprime(1, 2, F3), case2_Y(F3)
+
+    def kron11(*arrows):
+        return make_representation(y.quiver, F3, {"1": 1, "2": 1},
+                                   {f"a{i + 1}": [[c]] for i, c in enumerate(arrows)})
+
+    top, v = kron11(1, 1, 0), kron11(1, 2, 0)
+    for ctx, sub, quot in ((make_eta_context(xprime, y), top, y),
+                           (make_eta_context(y, xprime), y, v)):
+        sharp = 0
+        for _ in range(20):
+            middle = kron11(*(rng.randrange(3) for _ in range(3)))
+            u = _rebase(_glue(sub, _glue(middle, quot, rng), rng), rng)
+            assert is_E_bristle(ctx, u) == is_E_bristle_by_search(ctx, u), u.matrices
+            into, onto = hom_basis(ctx.x, u).basis, hom_basis(u, ctx.y).basis
+            sharp += (len(into) == len(onto) == 1 and is_brick(u)
+                      and not (into[0].is_injective() and onto[0].is_surjective()))
+        assert sharp > 0
+
+
 def test_brick_power_and_lemma_checks_match_is_isomorphic():
     rng = random.Random(1703)
     runs = []   # (x, a, check, [(w or None, dimension vector, s or None)])
@@ -171,11 +211,13 @@ def test_brick_power_and_lemma_checks_match_is_isomorphic():
         runs += [(x, a, check_lemma1, [(None, x.dim_vector, 1)]) for a in (2, 3)]
     xprime = _rebase(remark_Xprime(1, 2, F3), rng)
     runs.append((xprime, 2, check_lemma1, [(None, xprime.dim_vector, 1)]))
-    for x in (case2_X((1, 2), F3), case2_X((1, 2), F5), remark_Xprime(1, 2, F3)):
+    # a = 3 reaches proper submodules of x^3 isomorphic to x^2
+    for x, copies in ((case2_X((1, 2), F3), (2, 3)), (case2_X((1, 2), F5), (2,)),
+                      (remark_Xprime(1, 2, F3), (2, 3))):
         x = _rebase(x, rng)
-        runs.append((x, 2, check_lemma2,
-                     [(w, {"1": w, "2": w}, None if w % 2 else w // 2)
-                      for w in range(5)]))
+        runs += [(x, a, check_lemma2,
+                  [(w, {"1": w, "2": w}, None if w % 2 else w // 2)
+                   for w in range(2 * a + 1)]) for a in copies]
     verdicts = []
     for x, a, check, dimvecs in runs:
         xa = rep_power(x, a)

@@ -5,7 +5,12 @@ import sys
 import pytest
 
 from quivergrass.cli import main
-from quivergrass.construct import case2_X, case2_Y, coordinate_inclusion_N
+from quivergrass.construct import (
+    case2_X,
+    case2_Y,
+    coordinate_inclusion_N,
+    remark_Xprime,
+)
 from quivergrass.exactlinalg import FieldSpec
 from quivergrass.quiverrep import (
     make_kronecker,
@@ -100,7 +105,19 @@ def test_check_lemma_commands(capsys, tmp_path):
     x = write_json(tmp_path, "x.json", representation_to_json(case2_X((1, 2), F3)))
     code, out, _ = run_cli(capsys, ["check-lemma2", "--x", x, "--a", "1"])
     assert code == 0
-    assert json.loads(out)["counts"] == {"0": 1, "1": 0, "2": 1}
+    assert json.loads(out) == {"holds": True, "counts": {"0": 1, "1": 0, "2": 1},
+                               "failure_count": 0, "failures": []}
+    # the (1,1) submodule of X' gives failures at w = 1, 2 and 3 in X'^2
+    x = write_json(tmp_path, "xp.json", representation_to_json(remark_Xprime(1, 2, F3)))
+    code, out, _ = run_cli(capsys, ["check-lemma2", "--x", x, "--a", "2"])
+    assert code == 2
+    data = json.loads(out)
+    assert data["failure_count"] == len(data["failures"]) == 9
+    assert {f["w"] for f in data["failures"]} == {1, 2, 3}
+    assert all(set(f["point"]) == {"1", "2"} for f in data["failures"])
+    code, out, _ = run_cli(capsys, ["check-lemma2", "--x", x, "--a", "2", "--count-only"])
+    assert code == 2
+    assert json.loads(out) == {key: val for key, val in data.items() if key != "failures"}
 
 
 def test_bijection_command(capsys, tmp_path):

@@ -3,7 +3,9 @@
 Its checkers are deterministic; the only random code is the pair of
 generators random_invertible and random_representation, which use the rng
 their caller passes in.  Field entries are reduced mod p only by FieldSpec
-(and by grassmann's raw-row engine, which runs over F_p alone).
+(and by grassmann's raw-row engine, which runs over F_p alone).  The
+checkers of construct decide each submodule from Hom dimensions and ranks,
+without building quotient modules or isomorphism bases.
 """
 
 import ast
@@ -63,3 +65,16 @@ def test_no_isomorphism_search_is_exported():
     for name in ("is_isomorphic", "IsomorphismInconclusive"):
         assert not hasattr(quivergrass, name)
         assert not hasattr(quiverrep, name)
+
+
+def test_checkers_build_no_quotients_or_power_bases():
+    banned = {"quotient_representation", "image_point", "is_brick_power"}
+    path = SRC / "construct.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name in banned:
+            found.append(f"{path.name}:{getattr(node, 'lineno', '?')}: {name}")
+    assert found == []

@@ -24,10 +24,12 @@ from quivergrass.grassmann import (
     BudgetExceeded,
     _Budget,
     _choose_engine,
+    _invariant,
     _invariant_setup,
     _line_closure,
     _line_closures,
     _projective_lines,
+    _scan,
     bristle_points,
     count_submodules,
     enumerate_submodules,
@@ -215,6 +217,16 @@ def auto_engine(m, d):
     return _choose_engine(m, d, _invariant_setup(m, d), _Budget(DEFAULT_BUDGET))
 
 
+def engine_pairs(m, d, engine, walk_sinks=True):
+    """The (weight, point) pairs of one engine, run whatever it costs."""
+    budget = _Budget(DEFAULT_BUDGET)
+    if engine == "scan":
+        return list(_scan(m, d, budget, walk_sinks))
+    setup = _invariant_setup(m, d)
+    closures = _line_closures(m, d, setup, budget)
+    return list(_invariant(m, d, setup, closures, budget))
+
+
 def test_strategies_agree():
     # seeded differential test of both engines, automatic choice and the
     # flat oracle, on points and on counts, for every d = (k, k)
@@ -227,12 +239,17 @@ def test_strategies_agree():
                 # no fewer lines than scan candidates: the probe never runs
                 assert auto_engine(m, d) == ("scan", None), (m, d)
             keys = [p.canonical_key() for p in flat_points(m, d)]
-            for strategy in ("scan", "invariant", None):
-                report = enumerate_submodules(m, d, _strategy=strategy)
-                assert [p.canonical_key() for p in report.points] == keys, \
-                    (m, d, strategy)
-                assert report.count == len(keys)
-                assert count_submodules(m, d, _strategy=strategy) == len(keys)
+            for engine in ("scan", "invariant"):
+                pairs = engine_pairs(m, d, engine)
+                assert sorted(SubmodulePoint._trusted(m, s).canonical_key()
+                              for _, s in pairs) == keys, (m, d, engine)
+                assert {w for w, _ in pairs} <= {1}
+                counted = engine_pairs(m, d, engine, walk_sinks=False)
+                assert sum(w for w, _ in counted) == len(keys), (m, d, engine)
+            report = enumerate_submodules(m, d)
+            assert [p.canonical_key() for p in report.points] == keys, (m, d)
+            assert report.count == len(keys)
+            assert count_submodules(m, d) == len(keys)
 
 
 def test_sub_representation_matches_solve_oracle():
@@ -347,8 +364,7 @@ def test_automatic_engine_choice_on_baseline_instances():
 def test_invariant_strategy_rejected_when_inapplicable():
     k2 = make_kronecker(2)
     m = projective(k2, "1", F3)   # dims differ, engine cannot apply
-    with pytest.raises(ValueError):
-        enumerate_submodules(m, {"1": 1, "2": 1}, _strategy="invariant")
+    assert _invariant_setup(m, {"1": 1, "2": 1}) is None
 
 
 def test_count_only_consistency():
