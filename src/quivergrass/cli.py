@@ -377,6 +377,10 @@ def main(argv: Optional[list] = None) -> int:
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (TypeError, ZeroDivisionError, AssertionError, KeyError) as exc:
+        # a fault no input check caught still ends as one line, not a traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ Each test prints a single `criterion NN: PASS (...)` line on success; a failed
 criterion shows up as the usual pytest failure for that test.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -215,19 +216,25 @@ def _connected_multigraphs(n, max_mult):
     canonicalized as the lexicographically minimal multiplicity vector."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     pair_index = {p: k for k, p in enumerate(pairs)}
-    perms = [p for p in itertools.permutations(range(n))
-             if p != tuple(range(n))]
+    # one index map per non-identity vertex permutation: position t of the
+    # permuted vector holds the multiplicity at position sources[t]
+    maps = []
+    for perm in itertools.permutations(range(n)):
+        if perm == tuple(range(n)):
+            continue
+        sources = [0] * len(pairs)
+        for k, (i, j) in enumerate(pairs):
+            sources[pair_index[tuple(sorted((perm[i], perm[j])))]] = k
+        maps.append(sources)
     for vec in itertools.product(range(max_mult + 1), repeat=len(pairs)):
         minimal = True
-        for perm in perms:
-            img = [0] * len(pairs)
-            for (i, j), mult in zip(pairs, vec):
-                a, b = perm[i], perm[j]
-                if a > b:
-                    a, b = b, a
-                img[pair_index[(a, b)]] = mult
-            if tuple(img) < vec:
-                minimal = False
+        for sources in maps:
+            # lexicographic comparison of the permuted vector with vec
+            for t, k in enumerate(sources):
+                if vec[k] != vec[t]:
+                    minimal = vec[k] > vec[t]
+                    break
+            if not minimal:
                 break
         if not minimal:
             continue
@@ -254,8 +261,10 @@ def test_criterion_10_classification_cross_check():
                      "positive_semidefinite": "tame",
                      "indefinite": "wild"}
     total = 0
+    digest = hashlib.sha256()
     for n in range(1, 6):
         for pairs, vec in _connected_multigraphs(n, 3):
+            digest.update(repr((n, vec)).encode())
             verts = tuple(str(v) for v in range(n))
             arrows = []
             for (i, j), mult in zip(pairs, vec):
@@ -266,6 +275,9 @@ def test_criterion_10_classification_cross_check():
             total += 1
     elapsed = time.perf_counter() - t0
     assert total == 10634
+    # the (n, vec) sequence itself: the same classes, in the same order
+    assert digest.hexdigest() == \
+        "a9e56f781d790fd561bcb7239ddb25003ea4b0ab516abbae4c10de3ebb6eda93"
     assert elapsed < 60.0
     _pass(10, f"{total} quivers, {elapsed:.2f}s")
 

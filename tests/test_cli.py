@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from quivergrass import cli
 from quivergrass.cli import main
 from quivergrass.construct import (
     case2_X,
@@ -204,6 +205,18 @@ def test_budget_exceeded_exit_code(capsys, tmp_path):
         "--budget", "5"])
     assert code == 1
     assert "budget" in err
+
+
+@pytest.mark.parametrize("exc", [TypeError("bad operand"), ZeroDivisionError("inverse of zero"),
+                                 AssertionError(), KeyError("a1")])
+def test_internal_faults_are_one_error_line(capsys, tmp_path, monkeypatch, exc):
+    def handler(args):
+        raise exc
+    monkeypatch.setitem(cli._HANDLERS, "brick", handler)
+    code, out, err = run_cli(capsys, ["brick", "--rep", bristle_file(tmp_path)])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {type(exc).__name__}: {exc}\n"
 
 
 def test_budget_must_be_positive(capsys, tmp_path):

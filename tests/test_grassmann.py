@@ -5,7 +5,10 @@ import pytest
 
 from quivergrass.construct import (
     build_eta,
+    case2_X,
     case2_Y,
+    case2_instance,
+    coordinate_inclusion_N,
     make_eta_context,
     remark_N,
     remark_Xprime,
@@ -24,12 +27,14 @@ from quivergrass.grassmann import (
     BudgetExceeded,
     _Budget,
     _choose_engine,
+    _eigenline_walk,
     _invariant,
     _invariant_setup,
     _line_closure,
     _line_closures,
     _projective_lines,
     _scan,
+    _split_characters,
     bristle_points,
     count_submodules,
     enumerate_submodules,
@@ -218,38 +223,142 @@ def auto_engine(m, d):
 
 
 def engine_pairs(m, d, engine, walk_sinks=True):
-    """The (weight, point) pairs of one engine, run whatever it costs."""
+    """The (weight, point) pairs of one engine, run whatever it costs.
+
+    None for the eigenline walk when the source space is not split.
+    """
     budget = _Budget(DEFAULT_BUDGET)
     if engine == "scan":
         return list(_scan(m, d, budget, walk_sinks))
     setup = _invariant_setup(m, d)
+    if engine == "eigenline":
+        chars = _split_characters(m, setup, budget)
+        if chars is None:
+            return None
+        return list(_eigenline_walk(m, d, setup, chars, budget))
     closures = _line_closures(m, d, setup, budget)
     return list(_invariant(m, d, setup, closures, budget))
 
 
+def assert_engines_match(m, d, keys):
+    """Every engine that applies gives the oracle's points, weights and count.
+
+    Returns whether the eigenline walk applied.
+    """
+    split = True
+    for engine in ("scan", "invariant", "eigenline"):
+        pairs = engine_pairs(m, d, engine)
+        if pairs is None:
+            split = False
+            continue
+        assert sorted(SubmodulePoint._trusted(m, s).canonical_key()
+                      for _, s in pairs) == keys, (m, d, engine)
+        assert {w for w, _ in pairs} <= {1}
+        counted = engine_pairs(m, d, engine, walk_sinks=False)
+        assert sum(w for w, _ in counted) == len(keys), (m, d, engine)
+    return split
+
+
 def test_strategies_agree():
-    # seeded differential test of both engines, automatic choice and the
-    # flat oracle, on points and on counts, for every d = (k, k)
+    # seeded differential test of the three engines, automatic choice and
+    # the flat oracle, on points and on counts, for every d = (k, k)
     rng = random.Random(59)
+    walked = 0
     for m in _invariant_engine_modules(rng):
         n = m.dims["1"]
         for k in range(n + 1):
             d = {"1": k, "2": k}
             if k in (0, 1, n):
-                # no fewer lines than scan candidates: the probe never runs
+                # no fewer lines than scan candidates: no probe runs
                 assert auto_engine(m, d) == ("scan", None), (m, d)
             keys = [p.canonical_key() for p in flat_points(m, d)]
-            for engine in ("scan", "invariant"):
-                pairs = engine_pairs(m, d, engine)
-                assert sorted(SubmodulePoint._trusted(m, s).canonical_key()
-                              for _, s in pairs) == keys, (m, d, engine)
-                assert {w for w, _ in pairs} <= {1}
-                counted = engine_pairs(m, d, engine, walk_sinks=False)
-                assert sum(w for w, _ in counted) == len(keys), (m, d, engine)
+            walked += assert_engines_match(m, d, keys)
             report = enumerate_submodules(m, d)
             assert [p.canonical_key() for p in report.points] == keys, (m, d)
             assert report.count == len(keys)
             assert count_submodules(m, d) == len(keys)
+    assert walked > 0
+
+
+def _flag_modules(rng):
+    """Seeded K(2)/K(3) modules with equal dims and an invertible arrow.
+
+    Per prime: split ones (every arrow upper triangular, one the identity,
+    diagonals drawn from two values so that eigenspaces repeat) and ones that
+    are not split (random arrows next to an identity, case2_X((1,2)), its
+    square, and its sum with a split module).  The flat oracle's cost grows
+    like p^(2k(n-k)), so F_5 and F_7 get one quiver each.
+    """
+    k2, k3 = make_kronecker(2), make_kronecker(3)
+    for field, n, quivers in ((F2, 4, (k2, k3)), (F3, 3, (k2, k3)),
+                              (F5, 3, (k2,)), (F7, 3, (k3,))):
+        p = field.p
+        for q in quivers:
+            ids = [a.id for a in q.arrows]
+            unit = rng.choice(ids)
+            for kind in ("triangular", "random"):
+                mats = {}
+                for aid in ids:
+                    diag = [rng.randrange(p) for _ in range(2)]
+                    mats[aid] = [[int(i == j) if aid == unit else
+                                  rng.choice(diag) if i == j else
+                                  rng.randrange(p) if kind == "random" or j > i else 0
+                                  for j in range(n)] for i in range(n)]
+                yield kind == "triangular", make_representation(
+                    q, field, {"1": n, "2": n}, mats)
+        if p > 2:
+            x = case2_X((1, 2), field)
+            line = make_representation(k3, field, {"1": 1, "2": 1},
+                                       {"a1": [[1]], "a2": [[1]], "a3": [[0]]})
+            yield False, x
+            if p < 7:
+                yield False, direct_sum(x, line)
+            if p == 3:
+                yield False, direct_sum(x, x)
+
+
+def _rebased(m, rng):
+    g = {v: random_invertible(m.field, m.dims[v], rng) for v in m.quiver.vertices}
+    return change_of_basis(m, g)
+
+
+def _has_full_flag(m, sources):
+    """Oracle: is there a chain 0 < S_1 < ... < S_n of the given subspaces?
+
+    sources[k] holds the k-dimensional source subspaces of the points.
+    """
+    reached = sources[0]
+    for k in range(1, len(sources)):
+        reached = [u for u in sources[k]
+                   if any(row_space(vstack([w, u])).nrows == k if w.nrows else True
+                          for w in reached)]
+    return bool(reached)
+
+
+def test_eigenline_walk_matches_oracles():
+    # seeded differential test over F_2, F_3, F_5 and F_7: on every module
+    # and every k the eigenline walk, the sweep and merge walk and the scan
+    # give the flat oracle's points, and the certificate says split exactly
+    # when the flat points hold a full invariant flag
+    rng = random.Random(83)
+    seen = set()
+    for triangular, m in _flag_modules(rng):
+        m = _rebased(m, rng)
+        n = m.dims["1"]
+        sources = []
+        split = None
+        for k in range(n + 1):
+            d = {"1": k, "2": k}
+            oracle = flat_points(m, d)
+            sources.append([pt.subspaces["1"] for pt in oracle])
+            walked = assert_engines_match(m, d, [pt.canonical_key() for pt in oracle])
+            assert split in (None, walked)
+            split = walked
+        assert split == _has_full_flag(m, sources), m
+        if triangular:
+            assert split, m
+        seen.add((triangular, split))
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_sub_representation_matches_solve_oracle():
@@ -345,19 +454,32 @@ def _remark_witness(p, b):
 
 
 def test_automatic_engine_choice_on_baseline_instances():
-    # the remark witnesses have 12-26 distinct line closures, far fewer than
-    # scan candidates; on the degenerate K(2) module every line is invariant
+    # the remark witnesses are split with three characters, and the eigenline
+    # walk runs; their 12-26 distinct line closures are what the sweep would
+    # merge.  The bijection's case-2 module is not split, so the sweep and
+    # merge walk run.  On the degenerate K(2) module every subspace is
+    # invariant: split with one character, but the walk's bound passes G.
     d = {"1": 3, "2": 3}
     closures = {(3, 1): 12, (3, 2): 13, (3, 3): 18,
                 (5, 1): 18, (5, 2): 19, (5, 3): 26}
     for (p, b), c in closures.items():
-        engine, found = auto_engine(_remark_witness(p, b), d)
-        assert (engine, len(found)) == ("invariant", c), (p, b)
+        m = _remark_witness(p, b)
+        engine, chars = auto_engine(m, d)
+        assert engine == "eigenline", (p, b)
+        assert sorted(chars) == [(0, 0), (1, 0), (2, 0)], (p, b)
+        setup = _invariant_setup(m, d)
+        assert len(_line_closures(m, d, setup, _Budget(DEFAULT_BUDGET))) == c, (p, b)
+    case2 = build_eta(case2_instance(F3), coordinate_inclusion_N(F3, 2)).m
+    assert case2.dims == {"1": 5, "2": 5}
+    assert _split_characters(case2, _invariant_setup(case2, d), _Budget(DEFAULT_BUDGET)) is None
+    engine, found = auto_engine(case2, d)
+    assert (engine, len(found)) == ("invariant", 4)
     ident = Matrix.identity(F3, 5)
     degenerate = make_representation(make_kronecker(2), F3, {"1": 5, "2": 5},
                                      {"a1": ident.entries, "a2": ident.entries})
     assert auto_engine(degenerate, d) == ("scan", None)
     setup = _invariant_setup(degenerate, d)
+    assert _split_characters(degenerate, setup, _Budget(DEFAULT_BUDGET)) == [(1,)]
     assert len(_line_closures(degenerate, d, setup, _Budget(DEFAULT_BUDGET))) == 121
 
 
