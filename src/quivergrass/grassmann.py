@@ -26,7 +26,7 @@ engines is a generator of (weight, point) pairs, a point being a
     closures of all lines of V.
 
 The engine is chosen by cost (see _choose_engine): the scan's first charge is
-compared with a lower bound on the other engine's charges.  A count
+compared with a lower bound on the other engines' charges.  A count
 multiplies by the number of choices at each sink instead of walking them.
 
 Counts are exact point counts over F_p.  The work budget of an enumeration
