@@ -1,7 +1,7 @@
 """Exhaustive enumeration of quiver Grassmannians over prime fields.
 
 A point of G_d(M) is an arrow-stable tuple of subspaces with dimension
-vector d, one canonical RREF basis matrix per vertex.  Each of the three
+vector d, one canonical RREF basis matrix per vertex.  Each of the two
 engines is a generator of (weight, point) pairs, a point being a
 {vertex: subspace} dict:
 
@@ -11,23 +11,19 @@ engines is a generator of (weight, point) pairs, a point being a
 
 * for Kronecker-shaped quivers with equal dimensions d = (k, k) and an
   invertible arrow matrix A*, points correspond to the k-dimensional
-  subspaces of the source space V invariant under all T_i = A*^{-1}A_i, and
-  two engines find those:
-
-  - the eigenline walk, when V is split (has a full flag of invariant
-    subspaces).  Each invariant subspace of dimension j + 1 is W + l for an
-    invariant W of dimension j and a common eigenline l of the T_i on V/W,
-    whose character is one of the flag's.  So the walk goes level by level
-    from W = 0, with one kernel per (W, character), as in the submodule
-    lattice method of the MeatAxe (Lux, Mueller and Ringe, 1994);
-
-  - otherwise, the sweep and merge walk: every invariant subspace is a sum
-    of cyclic closures of lines, found by a breadth-first walk over the
-    closures of all lines of V.
+  subspaces of the source space V invariant under all T_i = A*^{-1}A_i.
+  The eigenline walk finds them when some set S of the T_i is split (V has
+  a full flag of S-invariant subspaces).  Each S-invariant subspace of
+  dimension j + 1 is W + l for an S-invariant W of dimension j and a common
+  eigenline l of S on V/W, whose character is one of the flag's.  So the
+  walk goes level by level from W = 0, with one kernel per (W, character),
+  as in the submodule lattice method of the MeatAxe (Lux, Mueller and Ringe,
+  1994), and keeps the last level's subspaces that the other T_i fix.  When
+  2k > dim V it walks their annihilators in V* instead.
 
 The engine is chosen by cost (see _choose_engine): the scan's first charge is
-compared with a lower bound on the other engines' charges.  A count
-multiplies by the number of choices at each sink instead of walking them.
+compared with a lower bound on the walk's charges.  A count multiplies by the
+number of choices at each sink instead of walking them.
 
 Counts are exact point counts over F_p.  The work budget of an enumeration
 is charged here and nowhere else.
@@ -35,9 +31,9 @@ is charged here and nowhere else.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
-from operator import mul
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .exactlinalg import (
     FieldSpec,
@@ -73,9 +69,9 @@ class _Budget:
     """Work counter of one enumeration.
 
     The scan charges the number of candidate subspaces at a vertex when it
-    reaches them.  The eigenline walk and its split certificate charge one
-    unit per kernel and one per candidate (W, line).  The sweep charges one
-    unit per line closure and the merge walk one per merge.
+    reaches them.  The eigenline walk, its split certificates and its cost
+    bound charge one unit per eigenspace kernel and one per candidate
+    (W, line).
     """
 
     def __init__(self, limit: int) -> None:
@@ -154,9 +150,11 @@ def _scan(m: Representation, d: DimVector, budget: _Budget,
 
 
 # ---------------------------------------------------------------------------
-# invariant subspaces (Kronecker shape, equal dims, invertible arrow):
-# the sweep of all lines and the merge walk over their closures
+# eigenline walk (Kronecker shape, equal dims, invertible arrow)
 # ---------------------------------------------------------------------------
+# A subspace is a tuple of rows, its canonical RREF basis.  An invariant
+# U = W + l over an invariant hyperplane W has a character chi = (mu_i): the
+# vectors v of l satisfy (T_i - mu_i) v in W for every operator T_i.
 
 def _invariant_setup(m: Representation, d: DimVector):
     """(source, sink, pivot arrow A*, rows of each T_i) when points are
@@ -167,107 +165,18 @@ def _invariant_setup(m: Representation, d: DimVector):
     src, tgt, arrow_ids = shape
     if d[src] != d[tgt] or m.dims[src] != m.dims[tgt]:
         return None
-    pivot = None
-    pivot_inv = None
-    for aid in arrow_ids:
-        inv = inverse(m.matrices[aid])
+    for pivot in arrow_ids:
+        inv = inverse(m.matrices[pivot])
         if inv is not None:
-            pivot, pivot_inv = aid, inv
-            break
-    if pivot is None:
-        return None
-    op_rows = [(pivot_inv * m.matrices[aid]).entries for aid in arrow_ids if aid != pivot]
-    return src, tgt, pivot, op_rows
-
-
-def _line_closure(vec, op_rows, cap: int, p: int) -> Optional[List[list]]:
-    """Basis rows of the smallest op-invariant subspace containing vec.
-
-    None once the dimension would pass cap.  The basis is an incremental
-    echelon form over F_p: every row has a leading 1 at its pivot and is zero
-    at the pivots of the rows before it, so one pass in insertion order
-    reduces a vector.  The op-images of each vector that enters the basis
-    are queued and reduced in turn; the span is invariant when none is left.
-    """
-    basis: List[Tuple[int, list]] = []
-    # (operator rows or None, vector): an image is computed only when popped,
-    # so the images still pending when the cap is passed cost nothing
-    pending = [(None, vec)]
-    while pending:
-        op, v = pending.pop()
-        if op is not None:
-            v = [sum(map(mul, r, v)) % p for r in op]
-        for c, row in basis:
-            f = v[c]
-            if f:
-                v = [(a - f * b) % p for a, b in zip(v, row)]
-        lead = next((c for c, x in enumerate(v) if x), None)
-        if lead is None:
-            continue
-        if len(basis) == cap:
-            return None
-        inv = pow(v[lead], p - 2, p)
-        v = [x * inv % p for x in v]
-        basis.append((lead, v))
-        pending.extend((op, v) for op in op_rows)
-    return [row for _, row in basis]
-
-
-def _line_closures(m: Representation, d: DimVector, setup,
-                   budget: _Budget) -> List[Matrix]:
-    """The distinct closures of dimension at most k of the source lines.
-
-    Charges one unit per line.  Each kept closure is canonicalized once.
-    """
-    src, _, _, op_rows = setup
-    field = m.field
-    n = m.dims[src]
-    k = d[src]
-    if k == 0:
-        return []
-    found: Dict[tuple, Matrix] = {}
-    for vec in _projective_lines(field, n):
-        budget.charge()
-        rows = _line_closure(vec, op_rows, k, field.p)
-        if rows is not None:
-            cl = row_space(Matrix(field, rows, ncols=n, _trusted=True))
-            found.setdefault(cl.entries, cl)
-    return list(found.values())
+            return src, tgt, pivot, [(inv * m.matrices[aid]).entries
+                                     for aid in arrow_ids if aid != pivot]
+    return None
 
 
 def _invariant_point(m: Representation, setup, s1: Matrix) -> Tuple[int, Point]:
     """(1, point) of an invariant source subspace s1, with its image under A*."""
     src, tgt, pivot, _ = setup
     return 1, {src: s1, tgt: row_space(s1 * m.matrices[pivot].transpose())}
-
-
-def _invariant(m: Representation, d: DimVector, setup,
-               line_closures: List[Matrix],
-               budget: _Budget) -> Iterator[Tuple[int, Point]]:
-    """(1, point) pairs of the merge walk over the line closures."""
-    src = setup[0]
-    k = d[src]
-    empty = Matrix.zeros(m.field, 0, m.dims[src])
-    if k == 0:
-        yield _invariant_point(m, setup, empty)
-        return
-    # every invariant subspace is the sum of the cyclic closures of the lines
-    # through its basis vectors, so sums of small-closure lines reach them all
-    reached = {empty.entries}
-    frontier = [empty]
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            for cl in line_closures:
-                budget.charge()
-                merged = row_space(vstack([sub, cl])) if sub.nrows else cl
-                if merged.nrows > k or merged.entries in reached:
-                    continue
-                reached.add(merged.entries)
-                nxt.append(merged)
-                if merged.nrows == k:
-                    yield _invariant_point(m, setup, merged)
-        frontier = nxt
 
 
 def _projective_lines(field: FieldSpec, n: int):
@@ -279,19 +188,13 @@ def _projective_lines(field: FieldSpec, n: int):
             yield (0,) * lead + (1,) + tail
 
 
-# ---------------------------------------------------------------------------
-# eigenline walk (the same setting, on a split source space)
-# ---------------------------------------------------------------------------
-# A subspace is a tuple of rows, its canonical RREF basis.  An invariant
-# U = W + l over an invariant hyperplane W has a character chi = (mu_i): the
-# vectors v of l satisfy (T_i - mu_i) v in W for every operator T_i.
-
 class _Quotient:
-    """The operators T_i reduced modulo an invariant subspace W.
+    """Operators reduced modulo a subspace W.
 
     Reducing a column vector x modulo W subtracts x[c]*w for each basis row w
-    of W with pivot c; P is that linear map.  The rows of P and of each P*T_i
-    give every eigenspace over W with one kernel.
+    of W with pivot c; P is that linear map, and its kernel is W.  The rows of
+    P and of each P*T_i, with unit rows at the pivots of W, give every
+    eigenspace modulo W with one kernel.
     """
 
     def __init__(self, field: FieldSpec, op_rows, w: tuple, n: int) -> None:
@@ -299,66 +202,62 @@ class _Quotient:
         self.w = w
         self.n = n
         ident = [[int(i == j) for j in range(n)] for i in range(n)]
+        self.pivots = [next(j for j, x in enumerate(row) if x) for row in w]
         add_scaled = field.add_scaled
         reduced = []
         for mat in [ident, *op_rows]:
             out = list(mat)
-            for row in w:
-                c = next(j for j, x in enumerate(row) if x)
+            for c, row in zip(self.pivots, w):
                 for r, f in enumerate(row):
                     if f:
                         out[r] = add_scaled(out[r], -f, mat[c])
-            reduced.append(out)
+            # the rows at W's pivots are zero
+            reduced.append([row for r, row in enumerate(out) if r not in self.pivots])
         self.proj, self.ops = reduced[0], reduced[1:]
+        self.units = [ident[c] for c in self.pivots]
 
     def eigenspace(self, chi: tuple, budget: _Budget) -> tuple:
-        """{v : (T_i - mu_i) v in W for the first len(chi) operators}.
+        """{v : (T_i - mu_i) v in W for the first len(chi) operators} modulo W.
 
-        The canonical basis rows; the space contains W.  One work unit.
+        The canonical basis rows of its vectors that are zero at the pivots
+        of W, a complement of W in it.  One work unit.
         """
         budget.charge()
         add_scaled = self.field.add_scaled
         rows = [add_scaled(t, -mu, q)
                 for op, mu in zip(self.ops, chi) for t, q in zip(op, self.proj)]
-        return kernel_basis(Matrix(self.field, rows, ncols=self.n, _trusted=True)).entries
-
-    def lines(self, space: tuple) -> List[list]:
-        """Basis rows of space/W, zero at the pivots of W, in RREF."""
-        rows = [self.field.row_times(v, self.proj) for v in space]
-        return [list(r) for r in
-                row_space(Matrix(self.field, rows, ncols=self.n, _trusted=True)).entries]
+        return kernel_basis(Matrix(self.field, rows + self.units, ncols=self.n,
+                                   _trusted=True)).entries
 
     def extend(self, line) -> tuple:
         """The canonical basis of W + line.
 
         line is zero at W's pivots and has a leading 1, as every row of
-        lines() and every combination of them with a leading coefficient 1.
+        eigenspace() and every combination of them with a leading coefficient 1.
         """
         field = self.field
         lead = next(j for j, x in enumerate(line) if x)
         rows = [tuple(field.add_scaled(row, -row[lead], line)) if row[lead] else row
                 for row in self.w]
-        rows.append(tuple(line))
-        rows.sort(key=lambda row: next(j for j, x in enumerate(row) if x))
+        rows.insert(bisect(self.pivots, lead), tuple(line))
         return tuple(rows)
 
 
 def _common_eigenline(quot: _Quotient, budget: _Budget, known: List[tuple]):
-    """(character, eigenspace) with the eigenspace larger than W, or None.
+    """(character, eigenspace modulo W) with a nonzero eigenspace, or None.
 
     The characters already known are tried first; then a depth-first search
     fixes mu_1, mu_2, ... and goes deeper only where the eigenspace of the
-    fixed prefix is still larger than W.
+    fixed prefix is still nonzero modulo W.
     """
-    dim_w = len(quot.w)
     for chi in known:
         space = quot.eigenspace(chi, budget)
-        if len(space) > dim_w:
+        if space:
             return chi, space
 
     def search(prefix: tuple):
         space = quot.eigenspace(prefix, budget)
-        if len(space) == dim_w:
+        if not space:
             return None
         if len(prefix) == len(quot.ops):
             return prefix, space
@@ -371,17 +270,15 @@ def _common_eigenline(quot: _Quotient, budget: _Budget, known: List[tuple]):
     return search(())
 
 
-def _split_characters(m: Representation, setup,
+def _split_characters(field: FieldSpec, op_rows, n: int,
                       budget: _Budget) -> Optional[List[tuple]]:
-    """The distinct characters of a full invariant flag, or None if there is none.
+    """The distinct characters of a full flag of F^n invariant under the
+    operators, or None if there is none.
 
-    The flag is built greedily, one common eigenline of the T_i on V/W at a
-    time.  Every invariant W of a split V has one (V/W is split too), so the
-    greedy flag fails only when V is not split.  One work unit per kernel.
+    The flag is built greedily, one common eigenline of the operators on V/W
+    at a time.  Every invariant W of a split V has one (V/W is split too), so
+    the greedy flag fails only when V is not split.  One work unit per kernel.
     """
-    src, _, _, op_rows = setup
-    field = m.field
-    n = m.dims[src]
     chars: List[tuple] = []
     w: tuple = ()
     while len(w) < n:
@@ -392,29 +289,92 @@ def _split_characters(m: Representation, setup,
         chi, space = found
         if chi not in chars:
             chars.append(chi)
-        w = quot.extend(quot.lines(space)[0])
+        w = quot.extend(space[0])
     return chars
 
 
-def _eigenline_walk(m: Representation, d: DimVector, setup, chars: List[tuple],
-                    budget: _Budget) -> Iterator[Tuple[int, Point]]:
-    """(1, point) pairs of the level-by-level walk over a split source space.
+def _fixes(field: FieldSpec, op_rows, w: tuple) -> bool:
+    """Whether every operator maps the subspace with canonical basis w into it."""
+    pivots = [next(j for j, x in enumerate(row) if x) for row in w]
+    for u in (field.row_times(v, op) for op in op_rows for v in w):
+        for c, row in zip(pivots, w):
+            if u[c]:
+                u = field.add_scaled(u, -u[c], row)
+        if any(u):
+            return False
+    return True
 
-    Level j holds the invariant j-dimensional subspaces.  Each W of a level
-    gives, for each character, one kernel, and each line of that kernel
-    modulo W a candidate W + l of the next level; the candidates are deduped
-    by canonical basis.  Every candidate is charged, before it is built.
+
+class _Walk(NamedTuple):
+    """A split operator set S of the walked space, V or its dual V*."""
+    ops: list       # rows of the operators in S, transposed on V*
+    rest: list      # rows of the other operators, likewise
+    chars: list     # the characters of a full S-invariant flag
+    dual: bool      # whether the walked space is V*
+    bound: int      # the lower bound on the walk's charges
+
+
+def _cheapest_walk(m: Representation, d: DimVector, setup,
+                   budget: _Budget) -> Optional[_Walk]:
+    """The walk over the split operator set S with the smallest bound, or None.
+
+    S is the full operator set when that is split (the certificate of
+    _split_characters), else each single operator that is.  The walked space
+    is V* with the transposed operators when 2k > dim V, so the walk has
+    min(k, dim V - k) levels: a subspace is invariant exactly when its
+    annihilator is invariant under the transposes.
+
+    The bound c1*(1 + sum lines(e - 1)) holds when the walk has at least two
+    levels.  Here e is the dimension of the eigenspace over 0 of one
+    character, the sum runs over the characters, and c1 = sum lines(e) is the
+    number of level-one subspaces: over each of them the walk meets, for
+    every character, a kernel holding the eigenspace over 0 modulo a line,
+    hence at least lines(e - 1) candidates.
     """
     src, _, _, op_rows = setup
+    field, n = m.field, m.dims[src]
+    dual = 2 * d[src] > n
+    if dual:
+        op_rows = [tuple(zip(*rows)) for rows in op_rows]
+    r = len(op_rows)
+    walks = []
+    for subset in [range(r)] + [[i] for i in range(r) if r > 1]:
+        ops = [op_rows[i] for i in subset]
+        chars = _split_characters(field, ops, n, budget)
+        if chars is None:
+            continue
+        quot = _Quotient(field, ops, (), n)
+        dims = [len(quot.eigenspace(chi, budget)) for chi in chars]
+        c1 = sum(gaussian_binomial(e, 1, field.p) for e in dims)
+        bound = c1 * (1 + sum(gaussian_binomial(e - 1, 1, field.p) for e in dims))
+        rest = [op for i, op in enumerate(op_rows) if i not in subset]
+        walks.append(_Walk(ops, rest, chars, dual, bound))
+        if not rest:
+            break
+    return min(walks, key=lambda walk: walk.bound, default=None)
+
+
+def _eigenline_walk(m: Representation, d: DimVector, setup, walk: _Walk,
+                    budget: _Budget) -> Iterator[Tuple[int, Point]]:
+    """(1, point) pairs of the level-by-level walk over a split space.
+
+    Level j holds the S-invariant j-dimensional subspaces.  Each W of a level
+    gives, for each character, one kernel, and each line of that kernel
+    modulo W a candidate W + l of the next level; the candidates are deduped
+    by canonical basis.  Every candidate is charged, before it is built.  The
+    last level keeps the subspaces that the operators outside S fix, and on
+    V* each is mapped to its annihilator.
+    """
+    src = setup[0]
     field = m.field
     n = m.dims[src]
     level = [()]
-    for _ in range(d[src]):
+    for _ in range(n - d[src] if walk.dual else d[src]):
         nxt: Dict[tuple, None] = {}
         for w in level:
-            quot = _Quotient(field, op_rows, w, n)
-            for chi in chars:
-                basis = quot.lines(quot.eigenspace(chi, budget))
+            quot = _Quotient(field, walk.ops, w, n)
+            for chi in walk.chars:
+                basis = quot.eigenspace(chi, budget)
                 budget.charge(gaussian_binomial(len(basis), 1, field.p))
                 for coeffs in _projective_lines(field, len(basis)):
                     line = [0] * n
@@ -424,7 +384,10 @@ def _eigenline_walk(m: Representation, d: DimVector, setup, chars: List[tuple],
                     nxt[quot.extend(line)] = None
         level = list(nxt)
     for w in level:
-        yield _invariant_point(m, setup, Matrix(field, w, ncols=n, _trusted=True))
+        if not _fixes(field, walk.rest, w):
+            continue
+        s1 = Matrix(field, w, ncols=n, _trusted=True)
+        yield _invariant_point(m, setup, kernel_basis(s1) if walk.dual else s1)
 
 
 # ---------------------------------------------------------------------------
@@ -432,44 +395,22 @@ def _eigenline_walk(m: Representation, d: DimVector, setup, chars: List[tuple],
 # ---------------------------------------------------------------------------
 
 def _choose_engine(m: Representation, d: DimVector, setup,
-                   budget: _Budget) -> Tuple[str, Optional[list]]:
-    """The cheaper engine, with what it needs: characters or line closures.
+                   budget: _Budget) -> Optional[_Walk]:
+    """The eigenline walk to run, or None for the scan.
 
     G, the number of candidates at the first vertex, is the scan's first
-    charge and a lower bound on its work.  The other engines are probed only
-    when the source space V has fewer lines than G, so 2 <= k <= dim V - 2
-    there unless V = 0.  The probes' charges stay spent when the scan runs.
-
-    * On a split source space (the certificate of _split_characters) the
-      eigenline walk runs when its lower bound c1*(1 + sum lines(e - 1)) is
-      at most G.  Here e is the dimension of the eigenspace over 0 of one
-      character, the sum runs over the characters, and c1 = sum lines(e) is
-      the number of level-one subspaces: over each of them the walk meets,
-      for every character, a kernel holding the eigenspace over 0 modulo a
-      line, hence at least lines(e - 1) candidates.
-    * Otherwise the line closures are computed, one unit per line.  With C
-      distinct closures the merge walk charges at least C*(C+1) units (the
-      empty subspace and each of the C level-one closures merged with every
-      closure); it runs when that is at most G.
+    charge and a lower bound on its work.  The walk is probed only when the
+    source space V has fewer lines than G, so 2 <= k <= dim V - 2 there unless
+    V = 0, and it runs when the bound of _cheapest_walk is at most G.  The
+    probe's charges stay spent when the scan runs.
     """
     first = m.quiver.topological_order()[0]
     p = m.field.p
     g = gaussian_binomial(m.dims[first], d[first], p)
     if setup is None or gaussian_binomial(m.dims[setup[0]], 1, p) >= g:
-        return "scan", None
-    chars = _split_characters(m, setup, budget)
-    if chars is not None:
-        quot = _Quotient(m.field, setup[3], (), m.dims[setup[0]])
-        dims = [len(quot.eigenspace(chi, budget)) for chi in chars]
-        c1 = sum(gaussian_binomial(e, 1, p) for e in dims)
-        if c1 * (1 + sum(gaussian_binomial(e - 1, 1, p) for e in dims)) <= g:
-            return "eigenline", chars
-        return "scan", None
-    closures = _line_closures(m, d, setup, budget)
-    c = len(closures)
-    if c * (c + 1) <= g:
-        return "invariant", closures
-    return "scan", None
+        return None
+    walk = _cheapest_walk(m, d, setup, budget)
+    return walk if walk is not None and walk.bound <= g else None
 
 
 def _points(m: Representation, d: DimVector, budget_limit: int,
@@ -482,11 +423,9 @@ def _points(m: Representation, d: DimVector, budget_limit: int,
         raise ValueError("target dimension vector exceeds the module's")
     budget = _Budget(budget_limit)
     setup = _invariant_setup(m, d)
-    engine, found = _choose_engine(m, d, setup, budget)
-    if engine == "eigenline":
-        return _eigenline_walk(m, d, setup, found, budget)
-    if engine == "invariant":
-        return _invariant(m, d, setup, found, budget)
+    walk = _choose_engine(m, d, setup, budget)
+    if walk is not None:
+        return _eigenline_walk(m, d, setup, walk, budget)
     return _scan(m, d, budget, walk_sinks)
 
 

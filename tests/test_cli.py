@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -295,8 +297,12 @@ def test_console_script_runs_deterministically(tmp_path):
     argv = [sys.executable, "-m", "quivergrass.cli", "euler",
             "--quiver", str(path),
             "--d", '{"1": 1, "2": 0}', "--e", '{"1": 0, "2": 1}']
-    first = subprocess.run(argv, capture_output=True, text=True)
-    second = subprocess.run(argv, capture_output=True, text=True)
+    # the child imports the package from where this process found it
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    first = subprocess.run(argv, capture_output=True, text=True, env=env)
+    second = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert json.loads(first.stdout) == {"value": -3}

@@ -2,9 +2,8 @@
 
 Its checkers are deterministic; the only random code is the pair of
 generators random_invertible and random_representation, which use the rng
-their caller passes in.  Field entries are reduced mod p only by FieldSpec
-(and by grassmann's raw-row engine, which runs over F_p alone).  The
-checkers of construct decide each submodule from Hom dimensions and ranks,
+their caller passes in.  Field entries are reduced mod p only by FieldSpec.
+The checkers of construct decide each submodule from Hom dimensions and ranks,
 without building quotient modules or isomorphism bases.
 """
 
@@ -47,8 +46,6 @@ def test_only_fieldspec_reduces_entries():
     allowed = {"exactlinalg.py": {"FieldSpec", "_is_prime"}}
     found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "grassmann.py":
-            continue
         stack = [ast.parse(path.read_text(), filename=str(path))]
         while stack:
             node = stack.pop()

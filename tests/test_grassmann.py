@@ -18,7 +18,6 @@ from quivergrass.exactlinalg import (
     Matrix,
     enumerate_subspaces,
     gaussian_binomial,
-    inverse,
     row_space,
     vstack,
 )
@@ -26,13 +25,10 @@ from quivergrass.grassmann import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     _Budget,
+    _cheapest_walk,
     _choose_engine,
     _eigenline_walk,
-    _invariant,
     _invariant_setup,
-    _line_closure,
-    _line_closures,
-    _projective_lines,
     _scan,
     _split_characters,
     bristle_points,
@@ -225,19 +221,16 @@ def auto_engine(m, d):
 def engine_pairs(m, d, engine, walk_sinks=True):
     """The (weight, point) pairs of one engine, run whatever it costs.
 
-    None for the eigenline walk when the source space is not split.
+    None for the eigenline walk when no operator set is split.
     """
     budget = _Budget(DEFAULT_BUDGET)
     if engine == "scan":
         return list(_scan(m, d, budget, walk_sinks))
     setup = _invariant_setup(m, d)
-    if engine == "eigenline":
-        chars = _split_characters(m, setup, budget)
-        if chars is None:
-            return None
-        return list(_eigenline_walk(m, d, setup, chars, budget))
-    closures = _line_closures(m, d, setup, budget)
-    return list(_invariant(m, d, setup, closures, budget))
+    walk = _cheapest_walk(m, d, setup, budget)
+    if walk is None:
+        return None
+    return list(_eigenline_walk(m, d, setup, walk, budget))
 
 
 def assert_engines_match(m, d, keys):
@@ -246,7 +239,7 @@ def assert_engines_match(m, d, keys):
     Returns whether the eigenline walk applied.
     """
     split = True
-    for engine in ("scan", "invariant", "eigenline"):
+    for engine in ("scan", "eigenline"):
         pairs = engine_pairs(m, d, engine)
         if pairs is None:
             split = False
@@ -260,7 +253,7 @@ def assert_engines_match(m, d, keys):
 
 
 def test_strategies_agree():
-    # seeded differential test of the three engines, automatic choice and
+    # seeded differential test of the two engines, automatic choice and
     # the flat oracle, on points and on counts, for every d = (k, k)
     rng = random.Random(59)
     walked = 0
@@ -270,7 +263,7 @@ def test_strategies_agree():
             d = {"1": k, "2": k}
             if k in (0, 1, n):
                 # no fewer lines than scan candidates: no probe runs
-                assert auto_engine(m, d) == ("scan", None), (m, d)
+                assert auto_engine(m, d) is None, (m, d)
             keys = [p.canonical_key() for p in flat_points(m, d)]
             walked += assert_engines_match(m, d, keys)
             report = enumerate_submodules(m, d)
@@ -337,28 +330,35 @@ def _has_full_flag(m, sources):
 
 def test_eigenline_walk_matches_oracles():
     # seeded differential test over F_2, F_3, F_5 and F_7: on every module
-    # and every k the eigenline walk, the sweep and merge walk and the scan
-    # give the flat oracle's points, and the certificate says split exactly
-    # when the flat points hold a full invariant flag
+    # and every k the eigenline walk and the scan give the flat oracle's
+    # points, and the certificate of the full operator set says split
+    # exactly when the flat points hold a full invariant flag.  Each of the
+    # three outcomes occurs: the full set is split; only single operators
+    # are, so the walk keeps the points the other operators fix; nothing is
+    # split, so only the scan applies.
     rng = random.Random(83)
     seen = set()
     for triangular, m in _flag_modules(rng):
         m = _rebased(m, rng)
         n = m.dims["1"]
+        ops = _invariant_setup(m, {"1": 0, "2": 0})[3]
+        split = _split_characters(m.field, ops, n, _Budget(DEFAULT_BUDGET)) is not None
         sources = []
-        split = None
+        outcomes = set()
         for k in range(n + 1):
             d = {"1": k, "2": k}
             oracle = flat_points(m, d)
             sources.append([pt.subspaces["1"] for pt in oracle])
             walked = assert_engines_match(m, d, [pt.canonical_key() for pt in oracle])
-            assert split in (None, walked)
-            split = walked
+            walk = _cheapest_walk(m, d, _invariant_setup(m, d), _Budget(DEFAULT_BUDGET))
+            assert walked == (walk is not None)
+            outcomes.add("scan" if walk is None else "subset" if walk.rest else "full")
         assert split == _has_full_flag(m, sources), m
+        assert len(outcomes) == 1 and (outcomes == {"full"}) == split, m
         if triangular:
             assert split, m
-        seen.add((triangular, split))
-    assert seen == {(True, True), (False, True), (False, False)}
+        seen |= outcomes
+    assert seen == {"full", "subset", "scan"}
 
 
 def test_sub_representation_matches_solve_oracle():
@@ -385,68 +385,6 @@ def test_sub_representation_matches_solve_oracle():
                 assert sub == want_sub and incl.maps == want_incl.maps
 
 
-def closure_oracle(rows, ops, cap):
-    """Smallest op-invariant subspace containing rows, or None once dim > cap.
-
-    Rebuilds the row space of the current basis and its op-images each
-    round until it stops growing.
-    """
-    current = row_space(rows)
-    while True:
-        if current.nrows > cap:
-            return None
-        pieces = [current] + [current * op.transpose() for op in ops]
-        grown = row_space(vstack(pieces))
-        if grown.nrows == current.nrows:
-            return current
-        current = grown
-
-
-def _random_operators(field, n, rng):
-    """One or two random operators, possibly sharing an invariant flag.
-
-    Generic operators have few invariant subspaces, so a third of the sets
-    are upper triangular in a common random basis and a third are scalars.
-    """
-    p = field.p
-    g = random_invertible(field, n, rng)
-    g_inv = inverse(g)
-    kind = rng.choice(("random", "triangular", "scalar"))
-    ops = []
-    for _ in range(rng.randint(1, 2)):
-        if kind == "random":
-            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-        elif kind == "triangular":
-            rows = [[rng.randrange(p) if j >= i else 0 for j in range(n)]
-                    for i in range(n)]
-        else:
-            c = rng.randrange(p)
-            rows = [[c * int(i == j) for j in range(n)] for i in range(n)]
-        ops.append(g_inv * Matrix(field, rows, ncols=n) * g)
-    return ops
-
-
-def test_line_closure_matches_oracle():
-    # seeded differential test of the incremental echelon closure against
-    # the row-space rebuild, for every line of F_p^n and every cap
-    rng = random.Random(71)
-    for field in (F2, F3, F5, F7):
-        for n in range(1, 5):
-            for _ in range(3):
-                ops = _random_operators(field, n, rng)
-                op_rows = [op.entries for op in ops]
-                for vec in _projective_lines(field, n):
-                    line = Matrix(field, (vec,), ncols=n)
-                    for cap in range(n + 1):
-                        want = closure_oracle(line, ops, cap)
-                        got = _line_closure(vec, op_rows, cap, field.p)
-                        if want is None:
-                            assert got is None, (ops, vec, cap)
-                        else:
-                            assert got is not None, (ops, vec, cap)
-                            assert row_space(Matrix(field, got, ncols=n)) == want
-
-
 def _remark_witness(p, b):
     field = FieldSpec.prime(p)
     ctx = make_eta_context(remark_Xprime(1, 2, field), case2_Y(field))
@@ -455,32 +393,33 @@ def _remark_witness(p, b):
 
 def test_automatic_engine_choice_on_baseline_instances():
     # the remark witnesses are split with three characters, and the eigenline
-    # walk runs; their 12-26 distinct line closures are what the sweep would
-    # merge.  The bijection's case-2 module is not split, so the sweep and
-    # merge walk run.  On the degenerate K(2) module every subspace is
-    # invariant: split with one character, but the walk's bound passes G.
+    # walk runs over both operators.  The bijection's case-2 module is not
+    # split, but one of its operators is, so the walk runs on V* (2k > n)
+    # over that one and keeps the points the other fixes.  On the degenerate
+    # K(2) module every subspace is invariant: split with one character, but
+    # the walk's bound passes G.
     d = {"1": 3, "2": 3}
-    closures = {(3, 1): 12, (3, 2): 13, (3, 3): 18,
-                (5, 1): 18, (5, 2): 19, (5, 3): 26}
-    for (p, b), c in closures.items():
-        m = _remark_witness(p, b)
-        engine, chars = auto_engine(m, d)
-        assert engine == "eigenline", (p, b)
-        assert sorted(chars) == [(0, 0), (1, 0), (2, 0)], (p, b)
-        setup = _invariant_setup(m, d)
-        assert len(_line_closures(m, d, setup, _Budget(DEFAULT_BUDGET))) == c, (p, b)
+    for p in (3, 5):
+        for b in (1, 2, 3):
+            walk = auto_engine(_remark_witness(p, b), d)
+            assert walk is not None and walk.rest == [], (p, b)
+            assert sorted(walk.chars) == [(0, 0), (1, 0), (2, 0)], (p, b)
     case2 = build_eta(case2_instance(F3), coordinate_inclusion_N(F3, 2)).m
     assert case2.dims == {"1": 5, "2": 5}
-    assert _split_characters(case2, _invariant_setup(case2, d), _Budget(DEFAULT_BUDGET)) is None
-    engine, found = auto_engine(case2, d)
-    assert (engine, len(found)) == ("invariant", 4)
+    setup = _invariant_setup(case2, d)
+    assert _split_characters(F3, setup[3], 5, _Budget(DEFAULT_BUDGET)) is None
+    walk = auto_engine(case2, d)
+    assert (len(walk.ops), len(walk.rest), walk.dual) == (1, 1, True)
+    assert walk.chars == [(0,), (1,), (2,)]
+    keys = sorted(SubmodulePoint._trusted(case2, s).canonical_key()
+                  for _, s in engine_pairs(case2, d, "scan"))
+    assert assert_engines_match(case2, d, keys)
     ident = Matrix.identity(F3, 5)
     degenerate = make_representation(make_kronecker(2), F3, {"1": 5, "2": 5},
                                      {"a1": ident.entries, "a2": ident.entries})
-    assert auto_engine(degenerate, d) == ("scan", None)
+    assert auto_engine(degenerate, d) is None
     setup = _invariant_setup(degenerate, d)
-    assert _split_characters(degenerate, setup, _Budget(DEFAULT_BUDGET)) == [(1,)]
-    assert len(_line_closures(degenerate, d, setup, _Budget(DEFAULT_BUDGET))) == 121
+    assert _split_characters(F3, setup[3], 5, _Budget(DEFAULT_BUDGET)) == [(1,)]
 
 
 def test_invariant_strategy_rejected_when_inapplicable():
