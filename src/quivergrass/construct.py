@@ -22,6 +22,7 @@ from .exactlinalg import (
     FieldSpec,
     Matrix,
     block2x2,
+    gaussian_binomial,
     kron,
     row_space,
 )
@@ -390,6 +391,12 @@ def _power_test(x: Representation) -> Callable[[SubmodulePoint], bool]:
     k^a of some dimension h, and the image of the evaluation map from
     x (x) W is a copy of x^h inside U.  Hence U is isomorphic to a power of
     x exactly when its dimension vector is h times that of x.
+
+    So W -> x (x) W is a bijection from the h-dimensional subspaces of k^a
+    onto the submodules of x^a isomorphic to x^h, and every submodule of
+    dimension vector h*dim x is a power of x exactly when there are
+    [a choose h]_p of them.  The lemma checkers count first and run this test
+    only on the points of a dimension vector whose count is off.
     """
     if not is_brick(x):
         raise ValueError("power test requires a brick")
@@ -405,15 +412,20 @@ def check_lemma1(x: Representation, a: int,
                  budget: int = DEFAULT_BUDGET) -> SubmoduleIsoReport:
     """Every submodule of x^a with the dimension vector of x is a copy of x.
 
-    x must be a brick; a submodule U is a copy of x exactly when
-    dim Hom(x, U) = 1 (see _power_test).
+    x must be a brick.  The lemma holds exactly when there are [a choose 1]_p
+    such submodules (see _power_test).  Only when the count is off are they
+    enumerated, and the U with dim Hom(x, U) != 1 are listed as failures.
     """
     if a < 1:
         raise ValueError("need at least one copy")
     is_power = _power_test(x)
-    report = enumerate_submodules(rep_power(x, a), x.dim_vector, budget=budget)
-    failures = tuple(pt for pt in report.points if not is_power(pt))
-    return SubmoduleIsoReport(not failures, report.count, failures)
+    xa = rep_power(x, a)
+    count = count_submodules(xa, x.dim_vector, budget=budget)
+    failures: Tuple[SubmodulePoint, ...] = ()
+    if count != gaussian_binomial(a, 1, x.field.p):
+        report = enumerate_submodules(xa, x.dim_vector, budget=budget)
+        failures = tuple(pt for pt in report.points if not is_power(pt))
+    return SubmoduleIsoReport(not failures, count, failures)
 
 
 @dataclass(frozen=True)
@@ -438,9 +450,11 @@ def check_lemma2(x: Representation, a: int,
 
     x must be a Kronecker-shaped brick with equal vertex dimensions (n, n).
     For every w from 0 to a*n, all (w,w)-submodules U of x^a must be
-    isomorphic to x^s with w = s*n, which holds exactly when w = h*n for
-    h = dim Hom(x, U) (see _power_test); in particular none may exist when
-    n does not divide w.
+    isomorphic to x^s with w = s*n; in particular none may exist when n does
+    not divide w.  So the lemma holds at w exactly when the (w,w) count is
+    [a choose w/n]_p, or 0 when n does not divide w (see _power_test).  Only
+    a w whose count is off is enumerated, and its U with w != h*n for
+    h = dim Hom(x, U) are listed as failures.
     """
     shape = kronecker_shape(x.quiver)
     if shape is None:
@@ -456,9 +470,11 @@ def check_lemma2(x: Representation, a: int,
     counts: Dict[int, int] = {}
     failures: List[Tuple[int, SubmodulePoint]] = []
     for w in range(a * n + 1):
-        report = enumerate_submodules(xa, {src: w, tgt: w}, budget=budget)
-        counts[w] = report.count
-        failures.extend((w, pt) for pt in report.points if not is_power(pt))
+        d = {src: w, tgt: w}
+        counts[w] = count_submodules(xa, d, budget=budget)
+        if counts[w] != (0 if w % n else gaussian_binomial(a, w // n, x.field.p)):
+            report = enumerate_submodules(xa, d, budget=budget)
+            failures.extend((w, pt) for pt in report.points if not is_power(pt))
     return Lemma2Report(not failures, counts, tuple(failures))
 
 

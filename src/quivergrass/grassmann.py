@@ -23,7 +23,8 @@ engines is a generator of (weight, point) pairs, a point being a
 
 The engine is chosen by cost (see _choose_engine): the scan's first charge is
 compared with a lower bound on the walk's charges.  A count multiplies by the
-number of choices at each sink instead of walking them.
+number of choices at each sink instead of walking them, and builds no points
+of the walk.
 
 Counts are exact point counts over F_p.  The work budget of an enumeration
 is charged here and nowhere else.
@@ -171,12 +172,6 @@ def _invariant_setup(m: Representation, d: DimVector):
             return src, tgt, pivot, [(inv * m.matrices[aid]).entries
                                      for aid in arrow_ids if aid != pivot]
     return None
-
-
-def _invariant_point(m: Representation, setup, s1: Matrix) -> Tuple[int, Point]:
-    """(1, point) of an invariant source subspace s1, with its image under A*."""
-    src, tgt, pivot, _ = setup
-    return 1, {src: s1, tgt: row_space(s1 * m.matrices[pivot].transpose())}
 
 
 def _projective_lines(field: FieldSpec, n: int):
@@ -355,7 +350,8 @@ def _cheapest_walk(m: Representation, d: DimVector, setup,
 
 
 def _eigenline_walk(m: Representation, d: DimVector, setup, walk: _Walk,
-                    budget: _Budget) -> Iterator[Tuple[int, Point]]:
+                    budget: _Budget, walk_sinks: bool = True
+                    ) -> Iterator[Tuple[int, Point]]:
     """(1, point) pairs of the level-by-level walk over a split space.
 
     Level j holds the S-invariant j-dimensional subspaces.  Each W of a level
@@ -363,9 +359,10 @@ def _eigenline_walk(m: Representation, d: DimVector, setup, walk: _Walk,
     modulo W a candidate W + l of the next level; the candidates are deduped
     by canonical basis.  Every candidate is charged, before it is built.  The
     last level keeps the subspaces that the operators outside S fix, and on
-    V* each is mapped to its annihilator.
+    V* each is mapped to its annihilator.  Without walk_sinks the points are
+    left empty: a count needs only the weights.
     """
-    src = setup[0]
+    src, tgt, pivot, _ = setup
     field = m.field
     n = m.dims[src]
     level = [()]
@@ -386,8 +383,13 @@ def _eigenline_walk(m: Representation, d: DimVector, setup, walk: _Walk,
     for w in level:
         if not _fixes(field, walk.rest, w):
             continue
+        if not walk_sinks:
+            yield 1, {}
+            continue
         s1 = Matrix(field, w, ncols=n, _trusted=True)
-        yield _invariant_point(m, setup, kernel_basis(s1) if walk.dual else s1)
+        if walk.dual:
+            s1 = kernel_basis(s1)
+        yield 1, {src: s1, tgt: row_space(s1 * m.matrices[pivot].transpose())}
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +427,7 @@ def _points(m: Representation, d: DimVector, budget_limit: int,
     setup = _invariant_setup(m, d)
     walk = _choose_engine(m, d, setup, budget)
     if walk is not None:
-        return _eigenline_walk(m, d, setup, walk, budget)
+        return _eigenline_walk(m, d, setup, walk, budget, walk_sinks)
     return _scan(m, d, budget, walk_sinks)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Tuple
 
-from .exactlinalg import FieldSpec, Matrix, hstack, kernel_basis, rref, vstack
+from .exactlinalg import FieldSpec, Matrix, kernel_basis, rref, vstack
 from .quiverrep import (
     DimVector,
     Morphism,
@@ -176,28 +176,6 @@ def is_brick(m: Representation) -> bool:
     if m.is_zero:
         raise ValueError("the zero representation is not a brick candidate")
     return hom_ext_dims(m, m)[0] == 1
-
-
-def is_brick_power(m: Representation, x: Representation, s: int) -> bool:
-    """Is m isomorphic to x^s, for a brick x?
-
-    Hom(x, x^s) is s dimensional because End(x) is the ground field, and for
-    any basis f_1..f_s of Hom(x, m) the evaluation map x^s -> m sending the
-    i-th copy by f_i is an isomorphism whenever some isomorphism exists.  So
-    m is a copy of x^s exactly when the dimension vectors match,
-    dim Hom(x, m) = s, and at every vertex the block matrix
-    [f_1,v | ... | f_s,v] is invertible.
-    """
-    _check_pair(m, x)
-    if not is_brick(x):
-        raise ValueError("power test requires a brick")
-    if any(m.dims[v] != s * x.dims[v] for v in m.quiver.vertices):
-        return False
-    basis = hom_basis(x, m).basis
-    if len(basis) != s:
-        return False
-    return all(hstack([f.maps[v] for f in basis]).rank() == m.dims[v]
-               for v in m.quiver.vertices if m.dims[v])
 
 
 def are_orthogonal_bricks(x: Representation, y: Representation) -> bool:

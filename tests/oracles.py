@@ -1,16 +1,18 @@
 """Slow, deterministic oracles that tests compare the package against.
 
-None is used by quivergrass itself: its checkers decide isomorphism with
-brick theory (homext.is_brick_power) and never need a splitting test, its
-kernels reduce entries through FieldSpec's row primitives, and it reads
-submodule coordinates off canonical bases instead of solving.
+None is used by quivergrass itself: its lemma checkers compare submodule
+counts with Gaussian binomials and test single points by one Hom dimension,
+it never needs an isomorphism or splitting test, its kernels reduce entries
+through FieldSpec's row primitives, and it reads submodule coordinates off
+canonical bases instead of solving.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from quivergrass.exactlinalg import Matrix, solve
-from quivergrass.homext import _differential, hom_basis, hom_ext_dims
+from quivergrass.exactlinalg import Matrix, hstack, solve
+from quivergrass.homext import (
+    _check_pair, _differential, hom_basis, hom_ext_dims, is_brick)
 from quivergrass.quiverrep import Morphism, NotASubmodule, Representation
 
 
@@ -49,6 +51,28 @@ def is_isomorphic(m1, m2):
 
     return any(all(invertible_at(coeffs, v) for v in verts)
                for coeffs in projective_coefficients(len(basis), m1.field.p))
+
+
+def is_brick_power(m, x, s):
+    """Is m isomorphic to x^s, for a brick x?
+
+    Hom(x, x^s) is s dimensional because End(x) is the ground field, and for
+    any basis f_1..f_s of Hom(x, m) the evaluation map x^s -> m sending the
+    i-th copy by f_i is an isomorphism whenever some isomorphism exists.  So
+    m is a copy of x^s exactly when the dimension vectors match,
+    dim Hom(x, m) = s, and at every vertex the block matrix
+    [f_1,v | ... | f_s,v] is invertible.
+    """
+    _check_pair(m, x)
+    if not is_brick(x):
+        raise ValueError("power test requires a brick")
+    if any(m.dims[v] != s * x.dims[v] for v in m.quiver.vertices):
+        return False
+    basis = hom_basis(x, m).basis
+    if len(basis) != s:
+        return False
+    return all(hstack([f.maps[v] for f in basis]).rank() == m.dims[v]
+               for v in m.quiver.vertices if m.dims[v])
 
 
 def cocycle_is_coboundary(eps):

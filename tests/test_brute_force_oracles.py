@@ -1,10 +1,12 @@
 """Brute-force oracles for the theory-based checks of construct and homext.
 
 is_E_bristle decides a candidate u from the spanning maps of Hom(X, u) and
-Hom(u, Y) and a brick test.  The lemma checkers decide a submodule U of x^a
-by one Hom dimension, h = dim Hom(x, U), and a comparison of dimension
-vectors; is_brick_power decides m = x^s from a Hom basis and block ranks.
-The functions here are the searches those replaced: a scan of every map
+Hom(u, Y) and a brick test.  The lemma checkers compare the number of
+submodules of x^a of one dimension vector with a Gaussian binomial and, only
+when it is off, decide each submodule U by one Hom dimension,
+h = dim Hom(x, U), and a comparison of dimension vectors; the oracle
+is_brick_power decides m = x^s from a Hom basis and block ranks.  The
+functions here are the searches those replaced: a scan of every map
 X -> u up to scalars with an is_isomorphic test of its cokernel, a scan of
 End(u) for nontrivial idempotents, and is_isomorphic against x^s.  The
 differential tests require equal verdicts on seeded changes of basis of the
@@ -31,7 +33,7 @@ from quivergrass.construct import (
 )
 from quivergrass.exactlinalg import FieldSpec, Matrix, block2x2
 from quivergrass.grassmann import enumerate_submodules
-from quivergrass.homext import hom_basis, is_brick, is_brick_power
+from quivergrass.homext import hom_basis, is_brick
 from quivergrass.quiverrep import (
     Morphism,
     Representation,
@@ -47,7 +49,7 @@ from quivergrass.quiverrep import (
     sub_representation,
 )
 
-from oracles import is_isomorphic, projective_coefficients
+from oracles import is_brick_power, is_isomorphic, projective_coefficients
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)

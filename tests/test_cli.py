@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -306,3 +307,82 @@ def test_console_script_runs_deterministically(tmp_path):
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert json.loads(first.stdout) == {"value": -3}
+
+
+_FUZZ_VALUES = (0, 1, -1, 2, 3, 7, 2 ** 31 - 1, 1.5, True, False, None, "", "1",
+                "x", "1/2", "p", [], [0], [[1]], [[1, 0], [0, 1]], {}, {"p": 3})
+
+
+def _json_paths(data, path=()):
+    """The path of every value inside a JSON document, the root included."""
+    yield path
+    if isinstance(data, dict):
+        for key, val in data.items():
+            yield from _json_paths(val, path + (key,))
+    elif isinstance(data, list):
+        for i, val in enumerate(data):
+            yield from _json_paths(val, path + (i,))
+
+
+def _mutate(data, rng):
+    """A copy of a JSON document with one value changed, dropped or added.
+
+    A quarter of the changes step an int, which often keeps the document
+    valid; the other replacements draw from _FUZZ_VALUES.
+    """
+    data = json.loads(json.dumps(data))
+    path = rng.choice(list(_json_paths(data)))
+    if not path:
+        return rng.choice(_FUZZ_VALUES)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    action = rng.randrange(4)
+    if action == 0 and type(parent[path[-1]]) is int:
+        parent[path[-1]] += rng.choice((-1, 1, 2))
+    elif action < 2:
+        parent[path[-1]] = rng.choice(_FUZZ_VALUES)
+    elif action == 2:
+        del parent[path[-1]]
+    elif isinstance(parent, dict):
+        parent[rng.choice(["zz", "p", "dims", "a1", "2"])] = rng.choice(_FUZZ_VALUES)
+    else:
+        parent.insert(path[-1], rng.choice(_FUZZ_VALUES))
+    return data
+
+
+def test_mutated_json_inputs_end_in_an_exit_code(capsys, tmp_path):
+    # seeded fuzz: one mutation of one input file per run, in-process, under
+    # a small budget; every run ends with exit 0, 1 or 2 and no traceback,
+    # and exit 1 prints exactly one error line
+    docs = {"x": representation_to_json(case2_X((1, 2), F3)),
+            "y": representation_to_json(case2_Y(F3)),
+            "n": representation_to_json(coordinate_inclusion_N(F3, 2)),
+            "q": quiver_to_json(make_kronecker(3))}
+    commands = [
+        ["brick", "--rep", "x"],
+        ["hom", "--rep1", "x", "--rep2", "n"],
+        ["grassmannian", "count", "--rep", "x", "--dimvec", '{"1": 1, "2": 1}'],
+        ["grassmannian", "list", "--rep", "n", "--dimvec", '{"1": 1, "2": 1}'],
+        ["check-lemma1", "--x", "x", "--a", "2"],
+        ["check-lemma2", "--x", "x", "--a", "2"],
+        ["check-c", "--x", "x", "--y", "y", "--nrep", "n"],
+        ["bijection", "--x", "x", "--y", "y", "--nrep", "n"],
+        ["classify", "--quiver", "q"],
+    ]
+    paths = {name: write_json(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
+    rng = random.Random(2017)
+    codes = []
+    for case in range(100):
+        argv = rng.choice(commands)
+        target = rng.choice([arg for arg in argv if arg in docs])
+        mutated = write_json(tmp_path, "mutated.json", _mutate(docs[target], rng))
+        args = [mutated if arg == target else paths.get(arg, arg) for arg in argv]
+        code, _, err = run_cli(capsys, args + ["--budget", "500"])
+        assert code in (0, 1, 2), (case, argv, code)
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, (case, argv, err)
+        else:
+            assert err == "", (case, argv, err)
+        codes.append(code)
+    assert {0, 1} <= set(codes)

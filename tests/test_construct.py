@@ -2,10 +2,13 @@ import random
 
 import pytest
 
+from quivergrass import construct
 from quivergrass.construct import (
     DistinctnessViolated,
+    Lemma2Report,
     NotOrthogonalBricks,
     NotReduced,
+    SubmoduleIsoReport,
     ZeroExt,
     build_eta,
     case1_instance,
@@ -36,7 +39,6 @@ from quivergrass.homext import (
     ext1,
     hom_ext_dims,
     is_brick,
-    is_brick_power,
     is_exceptional,
     is_reduced_kronecker,
 )
@@ -48,7 +50,7 @@ from quivergrass.quiverrep import (
     simple,
 )
 
-from oracles import is_isomorphic
+from oracles import is_brick_power, is_isomorphic
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -262,6 +264,48 @@ def test_check_lemma2_counts():
         check_lemma2(kronecker_preprojective(1, F3), 1)   # dims not equal
     with pytest.raises(ValueError):
         check_lemma2(simple(case1_quiver(), "w", F3), 1)  # not Kronecker shaped
+
+
+def test_lemma_checks_enumerate_only_when_a_count_is_off(monkeypatch):
+    # where the lemmas hold every count is the Gaussian binomial, so the
+    # checkers never enumerate; the reports match the enumerated counts
+    holding = [(check_lemma1, case1_instance(field).x, a)
+               for field in (F2, F3) for a in (2, 3)]
+    holding += [(check_lemma2, case2_X((1, 2), field), 2) for field in (F3, F5)]
+    expected = []
+    for check, x, a in holding:
+        xa = rep_power(x, a)
+        if check is check_lemma1:
+            count = enumerate_submodules(xa, x.dim_vector).count
+            expected.append(SubmoduleIsoReport(True, count, ()))
+        else:
+            counts = {w: enumerate_submodules(xa, {"1": w, "2": w}).count
+                      for w in range(5)}
+            expected.append(Lemma2Report(True, counts, ()))
+
+    def refuse(m, d, budget):
+        raise AssertionError(f"enumerated {d}")
+    monkeypatch.setattr(construct, "enumerate_submodules", refuse)
+    assert [check(x, a) for check, x, a in holding] == expected
+
+    # on X' the counts are off: only those dimension vectors are enumerated
+    # and their failures listed
+    seen = []
+
+    def record(m, d, budget):
+        seen.append(dict(d))
+        return enumerate_submodules(m, d, budget=budget)
+    monkeypatch.setattr(construct, "enumerate_submodules", record)
+    xprime = remark_Xprime(1, 2, F3)
+    r1 = check_lemma1(xprime, 2)
+    assert seen == [xprime.dim_vector]
+    assert not r1.holds and r1.failures
+    assert r1.count == enumerate_submodules(rep_power(xprime, 2), xprime.dim_vector).count
+    seen.clear()
+    r2 = check_lemma2(xprime, 2)
+    assert seen == [{"1": w, "2": w} for w in (1, 2, 3)]
+    assert not r2.holds and len(r2.failures) == 9
+    assert {w for w, _ in r2.failures} == {1, 2, 3}
 
 
 def test_check_eta_fullness():

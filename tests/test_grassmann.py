@@ -230,7 +230,7 @@ def engine_pairs(m, d, engine, walk_sinks=True):
     walk = _cheapest_walk(m, d, setup, budget)
     if walk is None:
         return None
-    return list(_eigenline_walk(m, d, setup, walk, budget))
+    return list(_eigenline_walk(m, d, setup, walk, budget, walk_sinks))
 
 
 def assert_engines_match(m, d, keys):
