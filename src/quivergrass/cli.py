@@ -16,34 +16,16 @@ import json
 import sys
 from typing import Optional
 
-from .construct import (
-    case1_instance,
-    case2_instance,
-    check_bijection,
-    check_condition_C,
-    check_lemma1,
-    check_lemma2,
-    build_eta,
-    coordinate_inclusion_N,
-    make_eta_context,
-    regular_N,
-    remark_counterexample_demo,
-)
-from .exactlinalg import FieldSpec
-from .grassmann import (
-    BudgetExceeded,
-    DEFAULT_BUDGET,
-    count_submodules,
-    enumerate_submodules,
-)
-from .homext import euler_form, hom_ext_dims, is_brick
+# Every command reads JSON, so the readers load here; each handler imports
+# the library code it calls, so a command loads only the modules it runs.
 from .quiverrep import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
     dimvec_from_json,
     quiver_from_json,
     representation_from_json,
     representation_to_json,
 )
-from .reptype import classify
 
 
 class InputError(ValueError):
@@ -51,6 +33,7 @@ class InputError(ValueError):
 
 
 def _parse_field(text: str) -> FieldSpec:
+    from .exactlinalg import FieldSpec
     if text == "rational":
         return FieldSpec.rational()
     if text.startswith("p="):
@@ -209,6 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_classify(args) -> int:
+    from .reptype import classify
     q = _load_quiver(args.quiver)
     res = classify(q)
     _emit({"kind": res.kind, "witness": res.witness}, args.output)
@@ -216,6 +200,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_hom(args) -> int:
+    from .homext import hom_ext_dims
     m1 = _load_representation(args.rep1)
     m2 = _load_representation(args.rep2)
     _emit({"dim": hom_ext_dims(m1, m2)[0]}, args.output)
@@ -223,6 +208,7 @@ def _cmd_hom(args) -> int:
 
 
 def _cmd_ext1(args) -> int:
+    from .homext import hom_ext_dims
     m1 = _load_representation(args.rep1)
     m2 = _load_representation(args.rep2)
     _emit({"dim": hom_ext_dims(m1, m2)[1]}, args.output)
@@ -230,6 +216,7 @@ def _cmd_ext1(args) -> int:
 
 
 def _cmd_euler(args) -> int:
+    from .homext import euler_form
     q = _load_quiver(args.quiver)
     d = _parse_dimvec(args.d, q)
     e = _parse_dimvec(args.e, q)
@@ -238,12 +225,14 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_brick(args) -> int:
+    from .homext import is_brick
     m = _load_representation(args.rep)
     _emit({"is_brick": is_brick(m)}, args.output)
     return 0
 
 
 def _cmd_grassmannian(args) -> int:
+    from .grassmann import count_submodules, enumerate_submodules
     m = _load_representation(args.rep)
     d = _parse_dimvec(args.dimvec, m.quiver)
     if args.mode == "count":
@@ -256,12 +245,14 @@ def _cmd_grassmannian(args) -> int:
 
 
 def _context_from_files(args):
+    from .construct import make_eta_context
     x = _load_representation(args.x)
     y = _load_representation(args.y)
     return make_eta_context(x, y)
 
 
 def _cmd_eta(args) -> int:
+    from .construct import build_eta
     ctx = _context_from_files(args)
     n_rep = _load_representation(args.nrep)
     witness = build_eta(ctx, n_rep)
@@ -271,6 +262,7 @@ def _cmd_eta(args) -> int:
 
 
 def _cmd_check_c(args) -> int:
+    from .construct import build_eta, check_condition_C
     ctx = _context_from_files(args)
     n_rep = _load_representation(args.nrep)
     witness = build_eta(ctx, n_rep)
@@ -280,6 +272,9 @@ def _cmd_check_c(args) -> int:
 
 
 def _cmd_check_lemma1(args) -> int:
+    from .construct import check_lemma1
+    if args.a < 1:
+        raise InputError(f"--a must be at least 1, got {args.a}")
     x = _load_representation(args.x)
     report = check_lemma1(x, args.a, budget=args.budget)
     _emit(report.to_json(count_only=args.count_only), args.output)
@@ -287,6 +282,9 @@ def _cmd_check_lemma1(args) -> int:
 
 
 def _cmd_check_lemma2(args) -> int:
+    from .construct import check_lemma2
+    if args.a < 1:
+        raise InputError(f"--a must be at least 1, got {args.a}")
     x = _load_representation(args.x)
     report = check_lemma2(x, args.a, budget=args.budget)
     _emit(report.to_json(count_only=args.count_only), args.output)
@@ -294,6 +292,7 @@ def _cmd_check_lemma2(args) -> int:
 
 
 def _cmd_bijection(args) -> int:
+    from .construct import check_bijection
     ctx = _context_from_files(args)
     n_rep = _load_representation(args.nrep)
     report = check_bijection(ctx, n_rep, budget=args.budget)
@@ -315,6 +314,7 @@ def _parse_lambdas(text: Optional[str], n: int):
 
 def _demo_eta(ctx, n_rep, args) -> int:
     """Build eta(n_rep), then check condition (C) and the bijection on it."""
+    from .construct import build_eta, check_bijection, check_condition_C
     witness = build_eta(ctx, n_rep)
     creport = check_condition_C(ctx, witness, budget=args.budget)
     breport = check_bijection(ctx, n_rep, budget=args.budget)
@@ -325,6 +325,8 @@ def _demo_eta(ctx, n_rep, args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    from .construct import (case1_instance, case2_instance, coordinate_inclusion_N,
+                            regular_N, remark_counterexample_demo)
     field = _parse_field(args.field)
     if args.which == "case2":
         if args.n < 2:
@@ -371,10 +373,7 @@ def main(argv: Optional[list] = None) -> int:
         if args.budget < 1:
             raise InputError(f"--budget must be at least 1, got {args.budget}")
         return _HANDLERS[args.command](args)
-    except BudgetExceeded as exc:
-        print(f"error: enumeration budget exceeded: {exc}", file=sys.stderr)
-        return 1
-    except (InputError, ValueError) as exc:
+    except (InputError, ValueError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (TypeError, ZeroDivisionError, AssertionError, KeyError) as exc:

@@ -15,18 +15,18 @@ again such a middle term over a single X and Y (an "E-bristle").
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exactlinalg import (
     FieldSpec,
     Matrix,
+    Record,
     block2x2,
     gaussian_binomial,
     kron,
     row_space,
 )
-from .grassmann import DEFAULT_BUDGET, count_submodules, enumerate_submodules
+from .grassmann import count_submodules, enumerate_submodules
 from .homext import (
     ExtCocycle,
     are_orthogonal_bricks,
@@ -38,6 +38,7 @@ from .homext import (
     is_reduced_kronecker,
 )
 from .quiverrep import (
+    DEFAULT_BUDGET,
     Arrow,
     DimVector,
     Morphism,
@@ -201,10 +202,10 @@ def case1_pair(q: Quiver, omega: str, x_on_qprime: Representation
 # the eta construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EtaContext:
+class EtaContext(Record):
     """A pair of orthogonal bricks with a fixed ordered cocycle basis."""
 
+    __slots__ = ("x", "y", "n", "cocycles", "xdim", "ydim")
     x: Representation
     y: Representation
     n: int
@@ -213,10 +214,10 @@ class EtaContext:
     ydim: DimVector
 
 
-@dataclass(frozen=True)
-class EtaWitness:
+class EtaWitness(Record):
     """A built middle term with its exact-sequence data."""
 
+    __slots__ = ("m", "a", "b", "mu", "pi")
     m: Representation
     a: int
     b: int
@@ -330,8 +331,8 @@ def is_E_bristle(ctx: EtaContext, u: Representation) -> bool:
     return len(onto) == 1 and onto[0].is_surjective() and is_brick(u)
 
 
-@dataclass(frozen=True)
-class ConditionCReport:
+class ConditionCReport(Record):
+    __slots__ = ("holds", "checked", "violations")
     holds: bool
     checked: int
     violations: Tuple[SubmodulePoint, ...]
@@ -368,10 +369,10 @@ def check_condition_C(ctx: EtaContext, witness: EtaWitness,
 # lemma checkers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SubmoduleIsoReport:
+class SubmoduleIsoReport(Record):
     """Outcome of checking all submodules of a fixed dimension vector."""
 
+    __slots__ = ("holds", "count", "failures")
     holds: bool
     count: int
     failures: Tuple[SubmodulePoint, ...]
@@ -428,8 +429,8 @@ def check_lemma1(x: Representation, a: int,
     return SubmoduleIsoReport(not failures, count, failures)
 
 
-@dataclass(frozen=True)
-class Lemma2Report:
+class Lemma2Report(Record):
+    __slots__ = ("holds", "counts", "failures")
     holds: bool
     counts: Dict[int, int]          # w -> number of (w,w)-submodules
     failures: Tuple[Tuple[int, SubmodulePoint], ...]
@@ -478,8 +479,8 @@ def check_lemma2(x: Representation, a: int,
     return Lemma2Report(not failures, counts, tuple(failures))
 
 
-@dataclass(frozen=True)
-class FullnessReport:
+class FullnessReport(Record):
+    __slots__ = ("lhs", "rhs", "equal")
     lhs: int    # dim Hom(n1, n2) on the Kronecker side
     rhs: int    # dim Hom(eta n1, eta n2)
     equal: bool
@@ -499,8 +500,8 @@ def check_eta_fullness(ctx: EtaContext, n1: Representation,
     return FullnessReport(lhs, rhs, lhs == rhs)
 
 
-@dataclass(frozen=True)
-class BijectionReport:
+class BijectionReport(Record):
+    __slots__ = ("lhs", "rhs", "equal")
     lhs: int    # |G_{(1,1)}(N)|
     rhs: int    # |G_{x+y}(eta N)|
     equal: bool
@@ -596,8 +597,9 @@ def remark_N(field: FieldSpec, b: int) -> Representation:
                      "for an indecomposable module")
 
 
-@dataclass(frozen=True)
-class RemarkReport:
+class RemarkReport(Record):
+    __slots__ = ("condition_c", "witness_point", "witness_is_violation",
+                 "counterexample_found")
     condition_c: ConditionCReport
     witness_point: SubmodulePoint       # the non-bristle submodule X + V
     witness_is_violation: bool

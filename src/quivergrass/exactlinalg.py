@@ -11,7 +11,6 @@ k-dimensional subspaces of F_p^n by canonical RREF representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from operator import mul
@@ -33,27 +32,85 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class Record:
+    """Read-only value whose fields are its class's __slots__, in order.
+
+    The constructor takes the fields in that order.  Records of one class
+    compare equal and hash alike field by field, repr as
+    Name(field=value, ...), and refuse assignment with AttributeError.  A
+    subclass that checks its fields does so in its own __init__ and stores
+    them with _set.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class FieldSpec(Record):
     """Exact coefficient field: a prime field F_p or the rationals.
 
     kind is "prime" (with 2 <= p < 2**31) or "rational" (p is None).
     """
 
-    kind: str
-    p: Optional[int] = None
+    __slots__ = ("kind", "p")
 
-    def __post_init__(self) -> None:
-        if self.kind == "prime":
-            if not isinstance(self.p, int) or not (2 <= self.p < 2 ** 31):
-                raise ValueError(f"prime field needs an int 2 <= p < 2^31, got {self.p!r}")
-            if not _is_prime(self.p):
-                raise ValueError(f"{self.p} is not prime")
-        elif self.kind == "rational":
-            if self.p is not None:
+    def __init__(self, kind: str, p: Optional[int] = None) -> None:
+        self._set(kind, p)
+        if kind == "prime":
+            if not isinstance(p, int) or not (2 <= p < 2 ** 31):
+                raise ValueError(f"prime field needs an int 2 <= p < 2^31, got {p!r}")
+            if not _is_prime(p):
+                raise ValueError(f"{p} is not prime")
+        elif kind == "rational":
+            if p is not None:
                 raise ValueError("rational field takes no characteristic")
         else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
+            raise ValueError(f"unknown field kind {kind!r}")
+
+    # every Matrix product and sum compares fields, hence the identity test
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not FieldSpec:
+            return NotImplemented
+        return self.kind == other.kind and self.p == other.p
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.p))
 
     @classmethod
     def prime(cls, p: int) -> "FieldSpec":

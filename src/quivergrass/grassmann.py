@@ -33,12 +33,12 @@ is charged here and nowhere else.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .exactlinalg import (
     FieldSpec,
     Matrix,
+    Record,
     gaussian_binomial,
     inverse,
     kernel_basis,
@@ -47,6 +47,8 @@ from .exactlinalg import (
     vstack,
 )
 from .quiverrep import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
     DimVector,
     Representation,
     SubmodulePoint,
@@ -56,14 +58,7 @@ from .quiverrep import (
     point_to_json,
 )
 
-#: default work budget of a single enumeration
-DEFAULT_BUDGET = 10_000_000
-
 Point = Dict[str, Matrix]
-
-
-class BudgetExceeded(RuntimeError):
-    """An enumeration needs more work units than its budget allows."""
 
 
 class _Budget:
@@ -86,8 +81,8 @@ class _Budget:
                 f"enumeration budget of {self.limit} work units exceeded")
 
 
-@dataclass(frozen=True)
-class GrassmannianReport:
+class GrassmannianReport(Record):
+    __slots__ = ("parent", "dimvec", "points", "count", "field")
     parent: Representation
     dimvec: DimVector
     points: Tuple[SubmodulePoint, ...]

@@ -12,10 +12,9 @@ hereditary, its cokernel is Ext^1(M, N).  Both are read off one matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Tuple
 
-from .exactlinalg import FieldSpec, Matrix, kernel_basis, rref, vstack
+from .exactlinalg import FieldSpec, Matrix, Record, kernel_basis, rref, vstack
 from .quiverrep import (
     DimVector,
     Morphism,
@@ -26,8 +25,8 @@ from .quiverrep import (
 )
 
 
-@dataclass(frozen=True)
-class HomBasis:
+class HomBasis(Record):
+    __slots__ = ("source", "target", "basis")
     source: Representation
     target: Representation
     basis: Tuple[Morphism, ...]
@@ -37,16 +36,18 @@ class HomBasis:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
-class ExtCocycle:
-    """One cocycle: a matrix N_{t(a)} x M_{s(a)} per arrow a."""
+class ExtCocycle(Record):
+    """One cocycle: a matrix N_{t(a)} x M_{s(a)} per arrow a.
 
-    source: Representation  # the M side (quotient in extensions 0 -> N -> E -> M -> 0)
-    target: Representation  # the N side
-    components: Dict[str, Matrix]
+    source is the M side (the quotient in extensions 0 -> N -> E -> M -> 0),
+    target the N side.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", dict(self.components))
+    __slots__ = ("source", "target", "components")
+
+    def __init__(self, source: Representation, target: Representation,
+                 components: Dict[str, Matrix]) -> None:
+        self._set(source, target, dict(components))
         q = self.source.quiver
         for a in q.arrows:
             want = (self.target.dims[a.target], self.source.dims[a.source])

@@ -12,12 +12,12 @@ of matrices.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactlinalg import (
     FieldSpec,
     Matrix,
+    Record,
     block_diag,
     matrix_from_json,
     matrix_to_json,
@@ -26,6 +26,15 @@ from .exactlinalg import (
 )
 
 DimVector = Dict[str, int]
+
+#: default work budget of a single enumeration; the budget names live here,
+#: in a module every CLI command loads, so commands that enumerate nothing
+#: need not import grassmann
+DEFAULT_BUDGET = 10_000_000
+
+
+class BudgetExceeded(RuntimeError):
+    """An enumeration needs more work units than its budget allows."""
 
 
 class NotASubmodule(ValueError):
@@ -38,18 +47,15 @@ class Arrow(NamedTuple):
     target: str
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(Record):
     """Finite quiver with string vertex ids; acyclicity is enforced."""
 
-    vertices: Tuple[str, ...]
-    arrows: Tuple[Arrow, ...]
+    __slots__ = ("vertices", "arrows")
 
-    def __post_init__(self) -> None:
-        verts = tuple(self.vertices)
-        arrs = tuple(Arrow(*a) for a in self.arrows)
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "arrows", arrs)
+    def __init__(self, vertices: Iterable[str], arrows: Iterable[Arrow]) -> None:
+        verts = tuple(vertices)
+        arrs = tuple(Arrow(*a) for a in arrows)
+        self._set(verts, arrs)
         if len(set(verts)) != len(verts):
             raise ValueError("duplicate vertex ids")
         for v in verts:
@@ -63,6 +69,17 @@ class Quiver:
             if a.source not in vset or a.target not in vset:
                 raise ValueError(f"arrow {a.id} has endpoints outside the quiver")
         self.topological_order()  # raises on a directed cycle
+
+    # every Representation and Morphism compares quivers, hence the identity test
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Quiver:
+            return NotImplemented
+        return self.vertices == other.vertices and self.arrows == other.arrows
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.arrows))
 
     def arrow(self, arrow_id: str) -> Arrow:
         for a in self.arrows:
@@ -197,19 +214,15 @@ def dim_leq(d: DimVector, e: DimVector) -> bool:
     return all(d[v] <= e[v] for v in d)
 
 
-@dataclass(frozen=True, eq=True)
-class Representation:
+class Representation(Record):
     """A representation of a quiver over an exact field."""
 
-    quiver: Quiver
-    field: FieldSpec
-    dims: DimVector
-    matrices: Dict[str, Matrix]
+    __slots__ = ("quiver", "field", "dims", "matrices")
 
-    def __post_init__(self) -> None:
-        check_dimvec(self.quiver, self.dims)
-        object.__setattr__(self, "dims", dict(self.dims))
-        object.__setattr__(self, "matrices", dict(self.matrices))
+    def __init__(self, quiver: Quiver, field: FieldSpec, dims: DimVector,
+                 matrices: Dict[str, Matrix]) -> None:
+        check_dimvec(quiver, dims)
+        self._set(quiver, field, dict(dims), dict(matrices))
         if set(self.matrices.keys()) != {a.id for a in self.quiver.arrows}:
             raise ValueError("matrices must be given for exactly the arrows")
         for a in self.quiver.arrows:
@@ -319,20 +332,18 @@ def dual(m: Representation) -> Representation:
     return Representation(m.quiver.opposite(), m.field, dict(m.dims), mats)
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(Record):
     """A homomorphism of representations; intertwining is checked on build."""
 
-    source: Representation
-    target: Representation
-    maps: Dict[str, Matrix]
+    __slots__ = ("source", "target", "maps")
 
-    def __post_init__(self) -> None:
-        if self.source.quiver != self.target.quiver:
+    def __init__(self, source: Representation, target: Representation,
+                 maps: Dict[str, Matrix]) -> None:
+        if source.quiver != target.quiver:
             raise ValueError("morphism endpoints live on different quivers")
-        if self.source.field != self.target.field:
+        if source.field != target.field:
             raise ValueError("morphism endpoints live over different fields")
-        object.__setattr__(self, "maps", dict(self.maps))
+        self._set(source, target, dict(maps))
         q = self.source.quiver
         if set(self.maps.keys()) != set(q.vertices):
             raise ValueError("need one matrix per vertex")
@@ -364,8 +375,7 @@ class Morphism:
         return all(self.maps[v].rank() == self.target.dims[v] for v in self.maps)
 
 
-@dataclass(frozen=True)
-class SubmodulePoint:
+class SubmodulePoint(Record):
     """A point of a quiver Grassmannian: one canonical subspace per vertex.
 
     subspaces[v] is a k_v x dims[v] matrix whose rows are the canonical RREF
@@ -373,21 +383,20 @@ class SubmodulePoint:
     except through _trusted, which the enumeration engines use.
     """
 
-    parent: Representation
-    subspaces: Dict[str, Matrix]
+    __slots__ = ("parent", "subspaces")
 
-    def __post_init__(self) -> None:
-        if set(self.subspaces.keys()) != set(self.parent.quiver.vertices):
+    def __init__(self, parent: Representation, subspaces: Dict[str, Matrix]) -> None:
+        if set(subspaces.keys()) != set(parent.quiver.vertices):
             raise ValueError("need one subspace per vertex")
         canon = {}
-        for v, s in self.subspaces.items():
-            if s.ncols != self.parent.dims[v]:
+        for v, s in subspaces.items():
+            if s.ncols != parent.dims[v]:
                 raise ValueError(f"subspace at {v} has ambient dim {s.ncols}, "
-                                 f"expected {self.parent.dims[v]}")
-            if s.field != self.parent.field:
+                                 f"expected {parent.dims[v]}")
+            if s.field != parent.field:
                 raise ValueError("subspace over the wrong field")
             canon[v] = row_space(s)
-        object.__setattr__(self, "subspaces", canon)
+        self._set(parent, canon)
 
     @classmethod
     def _trusted(cls, parent: Representation,

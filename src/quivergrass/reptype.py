@@ -11,10 +11,10 @@ indefinite = wild.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from .exactlinalg import Record
 from .quiverrep import Quiver
 
 
@@ -33,8 +33,8 @@ class NoRemovableVertex(AssertionError):
     """
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(Record):
+    __slots__ = ("kind", "witness")
     kind: str                 # "finite" | "tame" | "wild"
     witness: Optional[str]    # Dynkin / extended Dynkin label when not wild
 

@@ -207,7 +207,7 @@ def test_budget_exceeded_exit_code(capsys, tmp_path):
         "grassmannian", "count", "--rep", rep, "--dimvec", '{"1": 2, "2": 2}',
         "--budget", "5"])
     assert code == 1
-    assert "budget" in err
+    assert err == "error: enumeration budget of 5 work units exceeded\n"
 
 
 @pytest.mark.parametrize("exc", [TypeError("bad operand"), ZeroDivisionError("inverse of zero"),
@@ -253,7 +253,7 @@ def test_unknown_json_keys_are_rejected(capsys, tmp_path):
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "unknown key" in err
-def test_bad_flags(capsys):
+def test_bad_flags(capsys, tmp_path):
     code, _, _ = run_cli(capsys, ["classify"])           # missing --quiver
     assert code == 1
     code, _, _ = run_cli(capsys, ["no-such-command"])
@@ -269,6 +269,12 @@ def test_bad_flags(capsys):
         code, out, err = run_cli(capsys, ["demo", "remark", "--b", value])
         assert (code, out) == (1, "")
         assert err == f"error: --b must be 1, 2 or 3, got {value}\n"
+    for command in ("check-lemma1", "check-lemma2"):
+        for value in ("0", "-1"):
+            code, out, err = run_cli(capsys, [command, "--x", bristle_file(tmp_path),
+                                              "--a", value])
+            assert (code, out) == (1, "")
+            assert err == f"error: --a must be at least 1, got {value}\n"
     for argv, msg in (
             (["--lambdas", "1,x"], "--lambdas must be comma-separated integers, got '1,x'"),
             (["--n", "3", "--lambdas", "1,2"], "--lambdas needs 3 values (--n), got 2"),
@@ -298,15 +304,45 @@ def test_console_script_runs_deterministically(tmp_path):
     argv = [sys.executable, "-m", "quivergrass.cli", "euler",
             "--quiver", str(path),
             "--d", '{"1": 1, "2": 0}', "--e", '{"1": 0, "2": 1}']
-    # the child imports the package from where this process found it
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    first = subprocess.run(argv, capture_output=True, text=True, env=env)
-    second = subprocess.run(argv, capture_output=True, text=True, env=env)
+    first = subprocess.run(argv, capture_output=True, text=True, env=_child_env())
+    second = subprocess.run(argv, capture_output=True, text=True, env=_child_env())
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert json.loads(first.stdout) == {"value": -3}
+
+
+def _child_env():
+    """The environment of a child that imports the package from where this
+    process found it."""
+    src = str(Path(cli.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _modules_loaded_by(commands):
+    """The quivergrass modules a fresh process holds after running commands."""
+    script = ("import json, sys\n"
+              "from quivergrass import cli\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert cli.main(argv) == 0\n"
+              "print(json.dumps([m for m in sys.modules if m.startswith('quivergrass')]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          capture_output=True, text=True, env=_child_env(), check=True)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_commands_load_only_the_modules_they_run(tmp_path):
+    rep = bristle_file(tmp_path)
+    quiver = write_json(tmp_path, "q.json", quiver_to_json(make_kronecker(2)))
+    light = _modules_loaded_by([["hom", "--rep1", rep, "--rep2", rep],
+                                ["classify", "--quiver", quiver]])
+    assert {"quivergrass.cli", "quivergrass.homext", "quivergrass.reptype"} <= light
+    assert not light & {"quivergrass.construct", "quivergrass.grassmann"}
+    count = _modules_loaded_by([["grassmannian", "count", "--rep", rep,
+                                 "--dimvec", '{"1": 1, "2": 1}']])
+    assert "quivergrass.grassmann" in count
+    assert not count & {"quivergrass.construct", "quivergrass.homext",
+                        "quivergrass.reptype"}
 
 
 _FUZZ_VALUES = (0, 1, -1, 2, 3, 7, 2 ** 31 - 1, 1.5, True, False, None, "", "1",

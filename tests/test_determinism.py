@@ -29,6 +29,22 @@ def test_package_makes_no_random_source():
     assert found == []
 
 
+def test_package_imports_no_dataclasses():
+    # dataclasses loads inspect, ast and dis, a cost every CLI child would pay
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "dataclasses" in modules:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def _reduces_mod_p(node):
     """A `x % p`, `x % <expr>.p` or `x %= p` expression."""
     if isinstance(node, ast.BinOp):

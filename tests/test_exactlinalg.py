@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -6,6 +8,7 @@ import pytest
 from quivergrass.exactlinalg import (
     FieldSpec,
     Matrix,
+    Record,
     block2x2,
     block_diag,
     enumerate_subspaces,
@@ -50,6 +53,36 @@ def test_field_validation():
     assert FieldSpec.prime(2).p == 2
     assert FieldSpec.prime(101).is_prime
     assert not QQ.is_prime
+
+
+class Pair(Record):
+    __slots__ = ("left", "right")
+
+
+def test_records_are_read_only_values():
+    pair = Pair(1, [2])
+    assert pair == Pair(1, [2]) and pair != Pair(1, [3])
+    assert pair != (1, [2])
+    assert repr(pair) == "Pair(left=1, right=[2])"
+    assert hash(Pair(1, (2,))) == hash(Pair(1, (2,)))
+    with pytest.raises(TypeError):
+        hash(pair)                      # a list field is unhashable
+    for args in ((1,), (1, 2, 3)):
+        with pytest.raises(TypeError, match="Pair takes the fields left, right"):
+            Pair(*args)
+    with pytest.raises(AttributeError):
+        pair.left = 2
+    with pytest.raises(AttributeError):
+        del pair.right
+    with pytest.raises(AttributeError):
+        pair.other = 0
+    assert copy.copy(pair) == pickle.loads(pickle.dumps(pair)) == pair
+    assert F3 == FieldSpec("prime", 3) and F3 != F5 and F3 != QQ
+    assert {F3: 1}[FieldSpec.prime(3)] == 1
+    assert repr(QQ) == "FieldSpec(kind='rational', p=None)"
+    with pytest.raises(AttributeError):
+        F3.p = 5
+    assert pickle.loads(pickle.dumps(F3)) == F3
 
 
 def test_field_coerce():
