@@ -9,20 +9,17 @@ from importlib import import_module
 #: public name -> the module of the package that defines it
 _EXPORTS = {name: module for module, names in (
     ("exactlinalg", "FieldSpec Matrix enumerate_subspaces gaussian_binomial inverse"
-                    " kernel_basis kron row_space rref solve subspaces_containing"),
+                    " kernel_basis kron row_space rref subspaces_containing"),
     ("quiverrep", "Arrow Morphism NotASubmodule Quiver Representation SubmodulePoint"
                   " direct_sum dual change_of_basis injective make_kronecker"
                   " make_representation projective quiver_from_json quiver_to_json"
-                  " quotient_representation rep_power representation_from_json"
+                  " rep_power representation_from_json"
                   " representation_to_json simple sub_representation"
                   " zero_representation BudgetExceeded DEFAULT_BUDGET"),
     ("homext", "ExtCocycle HomBasis are_orthogonal_bricks euler_form ext1"
-               " has_brick_summand hom_basis hom_ext_dims is_brick is_exceptional"
-               " is_reduced_kronecker"),
-    ("grassmann", "GrassmannianReport bristle_points count_submodules"
-                  " enumerate_submodules"),
-    ("reptype", "ClassificationResult NoRemovableVertex NotApplicable classify"
-                " find_removable_extremal_vertex tits_definiteness"),
+               " has_brick_summand hom_basis hom_ext_dims is_brick is_reduced_kronecker"),
+    ("grassmann", "GrassmannianReport count_submodules enumerate_submodules"),
+    ("reptype", "ClassificationResult classify tits_definiteness"),
     ("construct", "DistinctnessViolated EtaContext EtaWitness NotOrthogonalBricks"
                   " NotReduced ZeroExt build_eta case1_instance case1_pair case1_quiver"
                   " case2_X case2_Y case2_instance check_bijection check_condition_C"

@@ -5,7 +5,7 @@ Everything here is exact: prime field elements are Python ints reduced into
 anywhere.  FieldSpec alone knows how entries reduce: every matrix operation and
 kernel here is one body over its row primitives (x + f*y, c*x, a row times a
 list of columns).  The module provides the canonical reduced row echelon form
-(RREF), kernel bases, linear solving, and a deterministic enumeration of all
+(RREF), kernel bases, inverses, and a deterministic enumeration of all
 k-dimensional subspaces of F_p^n by canonical RREF representatives.
 """
 
@@ -39,7 +39,8 @@ class Record:
     compare equal and hash alike field by field, repr as
     Name(field=value, ...), and refuse assignment with AttributeError.  A
     subclass that checks its fields does so in its own __init__ and stores
-    them with _set.
+    them with _set.  One that keeps derived state in slots after its fields
+    overrides _fields to return the fields alone.
     """
 
     __slots__ = ()
@@ -67,7 +68,8 @@ class Record:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._fields()))
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -447,33 +449,6 @@ def kernel_basis(m: Matrix) -> Matrix:
         rows.append(vec)
     rank, _ = _rref_rows(rows, m.ncols, field)
     return Matrix(field, tuple(tuple(r) for r in rows[:rank]), ncols=m.ncols, _trusted=True)
-
-
-def solve(a: Matrix, b) -> Optional[tuple]:
-    """One solution x of a x = b, or None if the system is inconsistent.
-
-    b may be a sequence of scalars or a single-column Matrix.  Free variables
-    are set to zero, so the answer is deterministic.
-    """
-    if isinstance(b, Matrix):
-        if b.ncols != 1:
-            raise ValueError("right hand side must be a column")
-        bvals = [r[0] for r in b.entries]
-    else:
-        bvals = [a.field.coerce(x) for x in b]
-    if len(bvals) != a.nrows:
-        raise ValueError(f"rhs length {len(bvals)} does not match {a.nrows} rows")
-    rows = [list(r) + [bv] for r, bv in zip(a.entries, bvals)]
-    if not rows:
-        return tuple()
-    rank, pivots = _rref_rows(rows, a.ncols + 1, a.field)
-    if pivots and pivots[-1] == a.ncols:
-        return None
-    z = a.field.zero
-    x = [z] * a.ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][a.ncols]
-    return tuple(x)
 
 
 def inverse(m: Matrix) -> Optional[Matrix]:

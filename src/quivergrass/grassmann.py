@@ -1,8 +1,8 @@
 """Exhaustive enumeration of quiver Grassmannians over prime fields.
 
 A point of G_d(M) is an arrow-stable tuple of subspaces with dimension
-vector d, one canonical RREF basis matrix per vertex.  Each of the two
-engines is a generator of (weight, point) pairs, a point being a
+vector d, one canonical RREF basis matrix per vertex.  Each of the three
+paths is a generator of (weight, point) pairs, a point being a
 {vertex: subspace} dict:
 
 * a general scan that walks vertices in topological order, so that by the
@@ -19,26 +19,39 @@ engines is a generator of (weight, point) pairs, a point being a
   walk goes level by level from W = 0, with one kernel per (W, character),
   as in the submodule lattice method of the MeatAxe (Lux, Mueller and Ringe,
   1994), and keeps the last level's subspaces that the other T_i fix.  When
-  2k > dim V it walks their annihilators in V* instead.
+  2k > dim V it walks their annihilators in V* instead;
 
-The engine is chosen by cost (see _choose_engine): the scan's first charge is
-compared with a lower bound on the walk's charges.  A count multiplies by the
-number of choices at each sink instead of walking them, and builds no points
-of the walk.
+* the eigenspace decomposition, when the full set of T_i is split and its
+  joint eigenspaces E_chi fill V, so that every T_i acts as a scalar on each
+  E_chi.  This is the argument of the paper's Lemma 2: a submodule of a
+  semisimple module is a direct summand, so an invariant W is the direct sum
+  of its intersections with the E_chi, and every subspace of an E_chi is
+  invariant.  The count is the sum over (k_chi) with sum k_chi = k of the
+  products of [e_chi choose k_chi]_p, and the points are the direct sums of
+  canonical subspaces of the E_chi.
+
+The path is chosen by cost (see _choose_engine): the scan's first charge is
+compared with a lower bound on the walk's charges, and the eigenspace
+decomposition, which charges no more than either, runs whenever its
+certificate holds.  A count multiplies by the number of choices at each sink
+instead of walking them, and builds no points of the walk or of the
+eigenspace decomposition.
 
 Counts are exact point counts over F_p.  The work budget of an enumeration
-is charged here and nowhere else.
+is charged here and nowhere else: see _Budget.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
+from itertools import product
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .exactlinalg import (
     FieldSpec,
     Matrix,
     Record,
+    enumerate_subspaces,
     gaussian_binomial,
     inverse,
     kernel_basis,
@@ -67,7 +80,10 @@ class _Budget:
     The scan charges the number of candidate subspaces at a vertex when it
     reaches them.  The eigenline walk, its split certificates and its cost
     bound charge one unit per eigenspace kernel and one per candidate
-    (W, line).
+    (W, line).  The eigenspace decomposition charges, after the kernels of
+    the certificate, one kernel per character for the eigenspaces E_chi on V
+    and then the point count, once, before the first point; a count and a
+    list charge the same.
     """
 
     def __init__(self, limit: int) -> None:
@@ -171,10 +187,9 @@ def _invariant_setup(m: Representation, d: DimVector):
 
 def _projective_lines(field: FieldSpec, n: int):
     """One normalized representative per line of F_p^n (leading entry 1)."""
-    from itertools import product as iproduct
     p = field.p
     for lead in range(n):
-        for tail in iproduct(range(p), repeat=n - lead - 1):
+        for tail in product(range(p), repeat=n - lead - 1):
             yield (0,) * lead + (1,) + tail
 
 
@@ -302,6 +317,7 @@ class _Walk(NamedTuple):
     chars: list     # the characters of a full S-invariant flag
     dual: bool      # whether the walked space is V*
     bound: int      # the lower bound on the walk's charges
+    semisimple: bool  # S is the full set and its eigenspaces fill the space
 
 
 def _cheapest_walk(m: Representation, d: DimVector, setup,
@@ -320,6 +336,10 @@ def _cheapest_walk(m: Representation, d: DimVector, setup,
     number of level-one subspaces: over each of them the walk meets, for
     every character, a kernel holding the eigenspace over 0 modulo a line,
     hence at least lines(e - 1) candidates.
+
+    The same dimensions certify that the full set is semisimple: its joint
+    eigenspaces are independent, so they fill the space exactly when
+    sum e = dim V.  This holds on V* exactly when it holds on V.
     """
     src, _, _, op_rows = setup
     field, n = m.field, m.dims[src]
@@ -338,7 +358,8 @@ def _cheapest_walk(m: Representation, d: DimVector, setup,
         c1 = sum(gaussian_binomial(e, 1, field.p) for e in dims)
         bound = c1 * (1 + sum(gaussian_binomial(e - 1, 1, field.p) for e in dims))
         rest = [op for i, op in enumerate(op_rows) if i not in subset]
-        walks.append(_Walk(ops, rest, chars, dual, bound))
+        semisimple = not rest and sum(dims) == n
+        walks.append(_Walk(ops, rest, chars, dual, bound, semisimple))
         if not rest:
             break
     return min(walks, key=lambda walk: walk.bound, default=None)
@@ -387,19 +408,69 @@ def _eigenline_walk(m: Representation, d: DimVector, setup, walk: _Walk,
         yield 1, {src: s1, tgt: row_space(s1 * m.matrices[pivot].transpose())}
 
 
+def _eigenspace_sums(m: Representation, d: DimVector, setup, walk: _Walk,
+                     budget: _Budget, walk_sinks: bool = True
+                     ) -> Iterator[Tuple[int, Point]]:
+    """(weight, point) pairs of a semisimple operator set, by eigenspaces.
+
+    V is the direct sum of the joint eigenspaces E_chi of the full set, each
+    found on V by one kernel.  A point is a sum of one k_chi-dimensional
+    subspace of each E_chi, with sum k_chi = k; the point count is charged
+    before the first point, and a count yields it as one weight.  A subspace
+    of E_chi is the canonical basis t of a subspace of F^e_chi times E_chi's
+    canonical basis b.  t*b is canonical already, because b is the identity
+    at its pivots, so only a sum of two or more nonzero parts is reduced.
+    """
+    src, tgt, pivot, op_rows = setup
+    field, n, k = m.field, m.dims[src], d[src]
+    quot = _Quotient(field, op_rows, (), n)
+    bases = [quot.eigenspace(chi, budget) for chi in walk.chars]
+    dims = [len(basis) for basis in bases]
+    # sizes[j]: the number of j-dimensional sums over the eigenspaces so far
+    sizes = [1]
+    for e in dims:
+        sizes = [sum(c * gaussian_binomial(e, j - i, field.p)
+                     for i, c in enumerate(sizes)) for j in range(len(sizes) + e)]
+    budget.charge(sizes[k])
+    if not walk_sinks:
+        yield sizes[k], {}
+        return
+    arrow_t = m.matrices[pivot].transpose()
+    parts: Dict[tuple, list] = {}   # (chi index, k_chi) -> subspaces of E_chi
+    for ks in product(*(range(e + 1) for e in dims)):
+        if sum(ks) != k:
+            continue
+        for i, j in enumerate(ks):
+            if (i, j) not in parts:
+                cols = tuple(zip(*bases[i]))
+                parts[i, j] = [t.entries if dims[i] == n else
+                               tuple(tuple(field.row_times(row, cols)) for row in t.entries)
+                               for t in enumerate_subspaces(dims[i], j, field)]
+        for combo in product(*(parts[i, j] for i, j in enumerate(ks))):
+            s1 = Matrix(field, [row for part in combo for row in part], ncols=n,
+                        _trusted=True)
+            if sum(1 for part in combo if part) > 1:
+                s1 = row_space(s1)
+            yield 1, {src: s1, tgt: row_space(s1 * arrow_t)}
+
+
 # ---------------------------------------------------------------------------
 # public API
 # ---------------------------------------------------------------------------
 
 def _choose_engine(m: Representation, d: DimVector, setup,
                    budget: _Budget) -> Optional[_Walk]:
-    """The eigenline walk to run, or None for the scan.
+    """The walk to run, or None for the scan.
 
     G, the number of candidates at the first vertex, is the scan's first
     charge and a lower bound on its work.  The walk is probed only when the
     source space V has fewer lines than G, so 2 <= k <= dim V - 2 there unless
-    V = 0, and it runs when the bound of _cheapest_walk is at most G.  The
-    probe's charges stay spent when the scan runs.
+    V = 0.  When the full set is semisimple (the certificate of
+    _cheapest_walk) the eigenspace decomposition runs: it charges the point
+    count, and its points are some of the scan's G first-vertex candidates
+    and each a candidate of the walk's last level.
+    Otherwise the walk runs when the bound of _cheapest_walk is at most G.
+    The probe's charges stay spent when the scan runs.
     """
     first = m.quiver.topological_order()[0]
     p = m.field.p
@@ -407,12 +478,14 @@ def _choose_engine(m: Representation, d: DimVector, setup,
     if setup is None or gaussian_binomial(m.dims[setup[0]], 1, p) >= g:
         return None
     walk = _cheapest_walk(m, d, setup, budget)
-    return walk if walk is not None and walk.bound <= g else None
+    if walk is not None and (walk.semisimple or walk.bound <= g):
+        return walk
+    return None
 
 
 def _points(m: Representation, d: DimVector, budget_limit: int,
             walk_sinks: bool = True) -> Iterator[Tuple[int, Point]]:
-    """(weight, point) pairs of G_d(m) from the chosen engine, under one budget."""
+    """(weight, point) pairs of G_d(m) from the chosen path, under one budget."""
     if not m.field.is_prime:
         raise ValueError("Grassmannian enumeration needs a finite prime field")
     check_dimvec(m.quiver, d)
@@ -421,15 +494,17 @@ def _points(m: Representation, d: DimVector, budget_limit: int,
     budget = _Budget(budget_limit)
     setup = _invariant_setup(m, d)
     walk = _choose_engine(m, d, setup, budget)
-    if walk is not None:
-        return _eigenline_walk(m, d, setup, walk, budget, walk_sinks)
-    return _scan(m, d, budget, walk_sinks)
+    if walk is None:
+        return _scan(m, d, budget, walk_sinks)
+    if walk.semisimple:
+        return _eigenspace_sums(m, d, setup, walk, budget, walk_sinks)
+    return _eigenline_walk(m, d, setup, walk, budget, walk_sinks)
 
 
 def enumerate_submodules(m: Representation, d: DimVector,
                          budget: int = DEFAULT_BUDGET) -> GrassmannianReport:
     """All submodule points of m with dimension vector d, sorted canonically."""
-    # the engines emit canonical RREF subspaces, one per vertex
+    # every path emits canonical RREF subspaces, one per vertex
     pts = [SubmodulePoint._trusted(m, s) for _, s in _points(m, d, budget)]
     pts.sort(key=lambda pt: pt.canonical_key())
     return GrassmannianReport(m, dict(d), tuple(pts), len(pts), m.field)
@@ -440,21 +515,3 @@ def count_submodules(m: Representation, d: DimVector,
     """|G_d(m)(F_p)| without materializing the points or walking the sinks."""
     return sum(w for w, _ in _points(m, d, budget, walk_sinks=False))
 
-
-def bristle_points(n_rep: Representation,
-                   budget: int = DEFAULT_BUDGET) -> GrassmannianReport:
-    """The (1,1)-submodule points carrying an indecomposable subrepresentation.
-
-    On a Kronecker-shaped quiver a length-two submodule with dimension vector
-    (1,1) is indecomposable exactly when some arrow acts nonzero on it.
-    """
-    shape = kronecker_shape(n_rep.quiver)
-    if shape is None:
-        raise ValueError("bristle points need a Kronecker shaped quiver")
-    src, tgt, arrow_ids = shape
-    d = {src: 1, tgt: 1}
-    full = enumerate_submodules(n_rep, d, budget=budget)
-    keep = [pt for pt in full.points
-            if any((pt.subspaces[src] * n_rep.matrices[aid].transpose()).rank() > 0
-                   for aid in arrow_ids)]
-    return GrassmannianReport(n_rep, d, tuple(keep), len(keep), n_rep.field)

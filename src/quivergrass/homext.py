@@ -12,7 +12,7 @@ hereditary, its cokernel is Ext^1(M, N).  Both are read off one matrix.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .exactlinalg import FieldSpec, Matrix, Record, kernel_basis, rref, vstack
 from .quiverrep import (
@@ -186,14 +186,6 @@ def are_orthogonal_bricks(x: Representation, y: Representation) -> bool:
     if hom_ext_dims(x, y)[0] != 0:
         return False
     return hom_ext_dims(y, x)[0] == 0
-
-
-def is_exceptional(m: Representation) -> bool:
-    """Brick with no self extensions."""
-    if m.is_zero:
-        raise ValueError("the zero representation is not exceptional")
-    h, e = hom_ext_dims(m, m)
-    return h == 1 and e == 0
 
 
 def has_brick_summand(m: Representation, y: Representation) -> bool:

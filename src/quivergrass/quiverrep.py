@@ -48,9 +48,13 @@ class Arrow(NamedTuple):
 
 
 class Quiver(Record):
-    """Finite quiver with string vertex ids; acyclicity is enforced."""
+    """Finite quiver with string vertex ids; acyclicity is enforced.
 
-    __slots__ = ("vertices", "arrows")
+    The topological order is computed once, on construction.  It is derived
+    from the fields, the vertices and the arrows, and is not one of them.
+    """
+
+    __slots__ = ("vertices", "arrows", "_order")
 
     def __init__(self, vertices: Iterable[str], arrows: Iterable[Arrow]) -> None:
         verts = tuple(vertices)
@@ -68,7 +72,10 @@ class Quiver(Record):
         for a in arrs:
             if a.source not in vset or a.target not in vset:
                 raise ValueError(f"arrow {a.id} has endpoints outside the quiver")
-        self.topological_order()  # raises on a directed cycle
+        object.__setattr__(self, "_order", self._topological_sort())  # raises on a directed cycle
+
+    def _fields(self) -> tuple:
+        return (self.vertices, self.arrows)
 
     # every Representation and Morphism compares quivers, hence the identity test
     def __eq__(self, other):
@@ -103,6 +110,9 @@ class Quiver(Record):
 
     def topological_order(self) -> List[str]:
         """Topological vertex order; ties are broken by sorted vertex id."""
+        return list(self._order)
+
+    def _topological_sort(self) -> Tuple[str, ...]:
         indeg = {v: 0 for v in self.vertices}
         for a in self.arrows:
             indeg[a.target] += 1
@@ -121,7 +131,7 @@ class Quiver(Record):
                 ready.sort()
         if len(order) != len(self.vertices):
             raise ValueError("quiver has a directed cycle")
-        return order
+        return tuple(order)
 
     def is_connected(self) -> bool:
         """Connectivity of the underlying undirected graph."""
@@ -436,8 +446,8 @@ class SubmodulePoint(Record):
         return mats
 
     def canonical_key(self):
-        order = self.parent.quiver.topological_order()
-        return tuple((self.subspaces[v].nrows, self.subspaces[v].entries) for v in order)
+        subs = self.subspaces
+        return tuple((subs[v].nrows, subs[v].entries) for v in self.parent.quiver._order)
 
 
 def sub_representation(pt: SubmodulePoint):
@@ -456,56 +466,6 @@ def sub_representation(pt: SubmodulePoint):
     sub = Representation(q, parent.field, dims, mats)
     inclusion = Morphism(sub, parent, incl)
     return sub, inclusion
-
-
-def quotient_representation(pt: SubmodulePoint):
-    """The quotient by a stable point, with its projection morphism.
-
-    The quotient basis at a vertex is the set of non-pivot coordinates of the
-    subspace's RREF basis, which makes the projection deterministic.
-    Returns (quot, proj) where proj: parent -> quot.
-    """
-    parent = pt.parent
-    q = parent.quiver
-    field = parent.field
-    if not pt.is_stable():
-        raise NotASubmodule("subspaces are not stable under the arrow maps")
-    minus_one = field.coerce(-1)
-    proj_maps = {}
-    lift_maps = {}
-    dims = {}
-    for v in q.vertices:
-        s = pt.subspaces[v]
-        d = parent.dims[v]
-        pivots = pivot_columns(s)
-        pivset = set(pivots)
-        free = [c for c in range(d) if c not in pivset]
-        dims[v] = len(free)
-        # proj = Sel_free (I - S^T Sel_pivot): kills the subspace, hits free coords
-        st = s.transpose()
-        rows = []
-        for fcol in free:
-            row = [field.zero] * d
-            row[fcol] = field.one
-            for pc, val in zip(pivots, field.scale_row(minus_one, st.entries[fcol])):
-                row[pc] = val
-            rows.append(tuple(row))
-        proj_maps[v] = Matrix(field, tuple(rows), ncols=d, _trusted=True)
-        lrows = tuple(tuple(field.one if free[j] == i else field.zero
-                            for j in range(len(free))) for i in range(d))
-        lift_maps[v] = Matrix(field, lrows, ncols=len(free), _trusted=True)
-    mats = {}
-    for a in q.arrows:
-        mats[a.id] = proj_maps[a.target] * parent.matrices[a.id] * lift_maps[a.source]
-    quot = Representation(q, field, dims, mats)
-    projection = Morphism(parent, quot, proj_maps)
-    return quot, projection
-
-
-def image_point(f: Morphism) -> SubmodulePoint:
-    """The image of a morphism as a submodule point of its target."""
-    subs = {v: row_space(f.maps[v].transpose()) for v in f.maps}
-    return SubmodulePoint(f.target, subs)
 
 
 def change_of_basis(m: Representation, g: Dict[str, Matrix]) -> Representation:
@@ -537,21 +497,6 @@ def random_invertible(field: FieldSpec, n: int, rng: random.Random) -> Matrix:
         m = Matrix(field, rows, ncols=n)
         if inverse(m) is not None:
             return m
-
-
-def random_representation(q: Quiver, field: FieldSpec, rng: random.Random,
-                          max_dim: int = 3) -> Representation:
-    dims = {v: rng.randint(0, max_dim) for v in q.vertices}
-    mats = {}
-    for a in q.arrows:
-        if field.is_prime:
-            rows = [[rng.randrange(field.p) for _ in range(dims[a.source])]
-                    for _ in range(dims[a.target])]
-        else:
-            rows = [[rng.randint(-3, 3) for _ in range(dims[a.source])]
-                    for _ in range(dims[a.target])]
-        mats[a.id] = Matrix(field, rows, ncols=dims[a.source])
-    return Representation(q, field, dims, mats)
 
 
 # ---------------------------------------------------------------------------

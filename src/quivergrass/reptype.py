@@ -1,4 +1,4 @@
-"""Representation type of acyclic quivers, and removable extremal vertices.
+"""Representation type of acyclic quivers.
 
 The trichotomy finite / tame / wild depends only on the underlying undirected
 multigraph (all acyclic orientations of a graph are derived-equivalent), so
@@ -16,21 +16,6 @@ from typing import Dict, List, Optional, Tuple
 
 from .exactlinalg import Record
 from .quiverrep import Quiver
-
-
-class NotApplicable(ValueError):
-    """Preconditions of the removable-vertex search do not hold."""
-
-
-class NoRemovableVertex(AssertionError):
-    """The removable-vertex search exhausted all candidates.
-
-    Raised when a connected wild quiver with at least three vertices has no
-    deletable sink or source leaving a connected representation-infinite
-    quiver.  Such inputs exist (for example two vertices joined to a middle
-    vertex by single arrows plus a triple arrow between the extremes), so
-    this is a documented boundary of the search, not an internal bug.
-    """
 
 
 class ClassificationResult(Record):
@@ -208,30 +193,3 @@ def tits_definiteness(q: Quiver) -> str:
     if neg == 0:
         return "positive_semidefinite"
     return "indefinite"
-
-
-def find_removable_extremal_vertex(q: Quiver) -> Tuple[str, Quiver]:
-    """A sink or source whose deletion stays connected and representation-infinite.
-
-    Candidates are scanned in sorted vertex order and the first success is
-    returned, so the answer is deterministic.  NotApplicable signals that the
-    preconditions (connected, wild, at least three vertices) fail;
-    NoRemovableVertex signals that every candidate fails despite them.
-    """
-    if len(q.vertices) < 3:
-        raise NotApplicable("need at least three vertices")
-    if not q.is_connected():
-        raise NotApplicable("quiver is not connected")
-    if classify(q).kind != "wild":
-        raise NotApplicable("quiver is not wild")
-    extremal = sorted(set(q.sinks()) | set(q.sources()))
-    for omega in extremal:
-        rest = [v for v in q.vertices if v != omega]
-        sub = q.subquiver(rest)
-        if not sub.is_connected():
-            continue
-        if classify(sub).is_representation_infinite:
-            return omega, sub
-    raise NoRemovableVertex(
-        "no sink or source can be deleted while keeping the rest connected "
-        "and representation-infinite")

@@ -1,19 +1,53 @@
-"""Slow, deterministic oracles that tests compare the package against.
+"""Slow, deterministic oracles and generators that tests use.
 
 None is used by quivergrass itself: its lemma checkers compare submodule
 counts with Gaussian binomials and test single points by one Hom dimension,
 it never needs an isomorphism or splitting test, its kernels reduce entries
 through FieldSpec's row primitives, and it reads submodule coordinates off
-canonical bases instead of solving.
+canonical bases instead of solving.  The quotient and image constructions,
+the random representation generator, the exceptional-module test and the
+removable-vertex search are used by tests alone, so they live here too.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
+from typing import Optional, Tuple
 
-from quivergrass.exactlinalg import Matrix, hstack, solve
+from quivergrass.exactlinalg import (
+    FieldSpec, Matrix, _rref_rows, hstack, pivot_columns, row_space)
 from quivergrass.homext import (
     _check_pair, _differential, hom_basis, hom_ext_dims, is_brick)
-from quivergrass.quiverrep import Morphism, NotASubmodule, Representation
+from quivergrass.quiverrep import (
+    Morphism, NotASubmodule, Quiver, Representation, SubmodulePoint)
+from quivergrass.reptype import classify
+
+
+def solve(a: Matrix, b) -> Optional[tuple]:
+    """One solution x of a x = b, or None if the system is inconsistent.
+
+    b may be a sequence of scalars or a single-column Matrix.  Free variables
+    are set to zero, so the answer is deterministic.
+    """
+    if isinstance(b, Matrix):
+        if b.ncols != 1:
+            raise ValueError("right hand side must be a column")
+        bvals = [r[0] for r in b.entries]
+    else:
+        bvals = [a.field.coerce(x) for x in b]
+    if len(bvals) != a.nrows:
+        raise ValueError(f"rhs length {len(bvals)} does not match {a.nrows} rows")
+    rows = [list(r) + [bv] for r, bv in zip(a.entries, bvals)]
+    if not rows:
+        return tuple()
+    rank, pivots = _rref_rows(rows, a.ncols + 1, a.field)
+    if pivots and pivots[-1] == a.ncols:
+        return None
+    z = a.field.zero
+    x = [z] * a.ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = rows[r][a.ncols]
+    return tuple(x)
 
 
 def projective_coefficients(k, p):
@@ -186,3 +220,118 @@ def solve_sub_representation(pt):
         mats[a.id] = Matrix(field, rows, ncols=dims[a.source], _trusted=True)
     sub = Representation(q, field, dims, mats)
     return sub, Morphism(sub, parent, incl)
+
+
+def quotient_representation(pt: SubmodulePoint):
+    """The quotient by a stable point, with its projection morphism.
+
+    The quotient basis at a vertex is the set of non-pivot coordinates of the
+    subspace's RREF basis, which makes the projection deterministic.
+    Returns (quot, proj) where proj: parent -> quot.
+    """
+    parent = pt.parent
+    q = parent.quiver
+    field = parent.field
+    if not pt.is_stable():
+        raise NotASubmodule("subspaces are not stable under the arrow maps")
+    minus_one = field.coerce(-1)
+    proj_maps = {}
+    lift_maps = {}
+    dims = {}
+    for v in q.vertices:
+        s = pt.subspaces[v]
+        d = parent.dims[v]
+        pivots = pivot_columns(s)
+        pivset = set(pivots)
+        free = [c for c in range(d) if c not in pivset]
+        dims[v] = len(free)
+        # proj = Sel_free (I - S^T Sel_pivot): kills the subspace, hits free coords
+        st = s.transpose()
+        rows = []
+        for fcol in free:
+            row = [field.zero] * d
+            row[fcol] = field.one
+            for pc, val in zip(pivots, field.scale_row(minus_one, st.entries[fcol])):
+                row[pc] = val
+            rows.append(tuple(row))
+        proj_maps[v] = Matrix(field, tuple(rows), ncols=d, _trusted=True)
+        lrows = tuple(tuple(field.one if free[j] == i else field.zero
+                            for j in range(len(free))) for i in range(d))
+        lift_maps[v] = Matrix(field, lrows, ncols=len(free), _trusted=True)
+    mats = {}
+    for a in q.arrows:
+        mats[a.id] = proj_maps[a.target] * parent.matrices[a.id] * lift_maps[a.source]
+    quot = Representation(q, field, dims, mats)
+    projection = Morphism(parent, quot, proj_maps)
+    return quot, projection
+
+
+def image_point(f: Morphism) -> SubmodulePoint:
+    """The image of a morphism as a submodule point of its target."""
+    subs = {v: row_space(f.maps[v].transpose()) for v in f.maps}
+    return SubmodulePoint(f.target, subs)
+
+
+def random_representation(q: Quiver, field: FieldSpec, rng: random.Random,
+                          max_dim: int = 3) -> Representation:
+    dims = {v: rng.randint(0, max_dim) for v in q.vertices}
+    mats = {}
+    for a in q.arrows:
+        if field.is_prime:
+            rows = [[rng.randrange(field.p) for _ in range(dims[a.source])]
+                    for _ in range(dims[a.target])]
+        else:
+            rows = [[rng.randint(-3, 3) for _ in range(dims[a.source])]
+                    for _ in range(dims[a.target])]
+        mats[a.id] = Matrix(field, rows, ncols=dims[a.source])
+    return Representation(q, field, dims, mats)
+
+
+def is_exceptional(m: Representation) -> bool:
+    """Brick with no self extensions."""
+    if m.is_zero:
+        raise ValueError("the zero representation is not exceptional")
+    h, e = hom_ext_dims(m, m)
+    return h == 1 and e == 0
+
+
+class NotApplicable(ValueError):
+    """Preconditions of the removable-vertex search do not hold."""
+
+
+class NoRemovableVertex(AssertionError):
+    """The removable-vertex search exhausted all candidates.
+
+    Raised when a connected wild quiver with at least three vertices has no
+    deletable sink or source leaving a connected representation-infinite
+    quiver.  Such inputs exist (for example two vertices joined to a middle
+    vertex by single arrows plus a triple arrow between the extremes), so
+    this is a documented boundary of the search, not an internal bug.
+    """
+
+
+def find_removable_extremal_vertex(q: Quiver) -> Tuple[str, Quiver]:
+    """A sink or source whose deletion stays connected and representation-infinite.
+
+    Candidates are scanned in sorted vertex order and the first success is
+    returned, so the answer is deterministic.  NotApplicable signals that the
+    preconditions (connected, wild, at least three vertices) fail;
+    NoRemovableVertex signals that every candidate fails despite them.
+    """
+    if len(q.vertices) < 3:
+        raise NotApplicable("need at least three vertices")
+    if not q.is_connected():
+        raise NotApplicable("quiver is not connected")
+    if classify(q).kind != "wild":
+        raise NotApplicable("quiver is not wild")
+    extremal = sorted(set(q.sinks()) | set(q.sources()))
+    for omega in extremal:
+        rest = [v for v in q.vertices if v != omega]
+        sub = q.subquiver(rest)
+        if not sub.is_connected():
+            continue
+        if classify(sub).is_representation_infinite:
+            return omega, sub
+    raise NoRemovableVertex(
+        "no sink or source can be deleted while keeping the rest connected "
+        "and representation-infinite")

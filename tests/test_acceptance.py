@@ -44,14 +44,11 @@ from quivergrass.quiverrep import (
     Quiver,
     change_of_basis,
     random_invertible,
-    random_representation,
     rep_power,
 )
-from quivergrass.reptype import (
-    classify,
-    find_removable_extremal_vertex,
-    tits_definiteness,
-)
+from quivergrass.reptype import classify, tits_definiteness
+
+from oracles import find_removable_extremal_vertex, random_representation
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)

@@ -40,16 +40,20 @@ from quivergrass.quiverrep import (
     change_of_basis,
     dim_add,
     direct_sum,
-    image_point,
     make_kronecker,
     make_representation,
-    quotient_representation,
     random_invertible,
     rep_power,
     sub_representation,
 )
 
-from oracles import is_brick_power, is_isomorphic, projective_coefficients
+from oracles import (
+    image_point,
+    is_brick_power,
+    is_isomorphic,
+    projective_coefficients,
+    quotient_representation,
+)
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)

@@ -210,6 +210,24 @@ def test_budget_exceeded_exit_code(capsys, tmp_path):
     assert err == "error: enumeration budget of 5 work units exceeded\n"
 
 
+def test_eigenspace_budget_exceeded_is_one_error_line(capsys, tmp_path):
+    # the degenerate K(2) module at (3,3) takes the eigenspace decomposition,
+    # which needs 1219 units (tests/test_grassmann.py)
+    ident = [[int(i == j) for j in range(5)] for i in range(5)]
+    m = make_representation(make_kronecker(2), F3, {"1": 5, "2": 5},
+                            {"a1": ident, "a2": ident})
+    args = ["grassmannian", "count", "--rep", write_json(tmp_path, "k2.json",
+                                                          representation_to_json(m)),
+            "--dimvec", '{"1": 3, "2": 3}', "--budget"]
+    code, out, _ = run_cli(capsys, args + ["1219"])
+    assert code == 0
+    assert json.loads(out)["count"] == 1210
+    code, out, err = run_cli(capsys, args + ["1218"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: enumeration budget of 1218 work units exceeded\n"
+
+
 @pytest.mark.parametrize("exc", [TypeError("bad operand"), ZeroDivisionError("inverse of zero"),
                                  AssertionError(), KeyError("a1")])
 def test_internal_faults_are_one_error_line(capsys, tmp_path, monkeypatch, exc):

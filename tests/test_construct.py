@@ -39,7 +39,6 @@ from quivergrass.homext import (
     ext1,
     hom_ext_dims,
     is_brick,
-    is_exceptional,
     is_reduced_kronecker,
 )
 from quivergrass.quiverrep import (
@@ -50,7 +49,7 @@ from quivergrass.quiverrep import (
     simple,
 )
 
-from oracles import is_brick_power, is_isomorphic
+from oracles import is_brick_power, is_exceptional, is_isomorphic, random_representation
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -321,7 +320,6 @@ def test_check_eta_fullness():
         rep = check_eta_fullness(ctx, n1, n2)
         assert rep.equal, (rep.lhs, rep.rhs)
     rng = random.Random(13)
-    from quivergrass.quiverrep import random_representation
     for _ in range(5):
         n1 = random_representation(k2, F3, rng, max_dim=2)
         n2 = random_representation(k2, F3, rng, max_dim=2)

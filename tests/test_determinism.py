@@ -1,8 +1,7 @@
 """The package draws no randomness of its own, and reduces entries in one place.
 
-Its checkers are deterministic; the only random code is the pair of
-generators random_invertible and random_representation, which use the rng
-their caller passes in.  Field entries are reduced mod p only by FieldSpec.
+Its checkers are deterministic; the only random code is the generator
+random_invertible, which uses the rng its caller passes in.  Field entries are reduced mod p only by FieldSpec.
 The checkers of construct decide each submodule from Hom dimensions and ranks,
 without building quotient modules or isomorphism bases.
 """

@@ -23,12 +23,11 @@ from quivergrass.exactlinalg import (
     row_space,
     scalar_from_json,
     scalar_to_json,
-    solve,
     subspaces_containing,
     vstack,
 )
 
-from oracles import reference_matmul, reference_rref_rows
+from oracles import reference_matmul, reference_rref_rows, solve
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)

@@ -28,10 +28,10 @@ from quivergrass.grassmann import (
     _cheapest_walk,
     _choose_engine,
     _eigenline_walk,
+    _eigenspace_sums,
     _invariant_setup,
     _scan,
     _split_characters,
-    bristle_points,
     count_submodules,
     enumerate_submodules,
 )
@@ -45,15 +45,13 @@ from quivergrass.quiverrep import (
     make_kronecker,
     make_representation,
     projective,
-    quotient_representation,
     random_invertible,
-    random_representation,
     simple,
     sub_representation,
     zero_representation,
 )
 
-from oracles import solve_sub_representation
+from oracles import quotient_representation, random_representation, solve_sub_representation
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -218,38 +216,43 @@ def auto_engine(m, d):
     return _choose_engine(m, d, _invariant_setup(m, d), _Budget(DEFAULT_BUDGET))
 
 
+ENGINES = ("scan", "eigenline", "eigenspace")
+
+
 def engine_pairs(m, d, engine, walk_sinks=True):
     """The (weight, point) pairs of one engine, run whatever it costs.
 
-    None for the eigenline walk when no operator set is split.
+    None for the eigenline walk when no operator set is split, and for the
+    eigenspace decomposition when the full set is not semisimple.
     """
     budget = _Budget(DEFAULT_BUDGET)
     if engine == "scan":
         return list(_scan(m, d, budget, walk_sinks))
     setup = _invariant_setup(m, d)
     walk = _cheapest_walk(m, d, setup, budget)
-    if walk is None:
+    if walk is None or engine == "eigenspace" and not walk.semisimple:
         return None
-    return list(_eigenline_walk(m, d, setup, walk, budget, walk_sinks))
+    run = _eigenspace_sums if engine == "eigenspace" else _eigenline_walk
+    return list(run(m, d, setup, walk, budget, walk_sinks))
 
 
 def assert_engines_match(m, d, keys):
     """Every engine that applies gives the oracle's points, weights and count.
 
-    Returns whether the eigenline walk applied.
+    Returns the set of engines that applied.
     """
-    split = True
-    for engine in ("scan", "eigenline"):
+    applied = set()
+    for engine in ENGINES:
         pairs = engine_pairs(m, d, engine)
         if pairs is None:
-            split = False
             continue
+        applied.add(engine)
         assert sorted(SubmodulePoint._trusted(m, s).canonical_key()
                       for _, s in pairs) == keys, (m, d, engine)
         assert {w for w, _ in pairs} <= {1}
         counted = engine_pairs(m, d, engine, walk_sinks=False)
         assert sum(w for w, _ in counted) == len(keys), (m, d, engine)
-    return split
+    return applied
 
 
 def test_strategies_agree():
@@ -265,7 +268,7 @@ def test_strategies_agree():
                 # no fewer lines than scan candidates: no probe runs
                 assert auto_engine(m, d) is None, (m, d)
             keys = [p.canonical_key() for p in flat_points(m, d)]
-            walked += assert_engines_match(m, d, keys)
+            walked += "eigenline" in assert_engines_match(m, d, keys)
             report = enumerate_submodules(m, d)
             assert [p.canonical_key() for p in report.points] == keys, (m, d)
             assert report.count == len(keys)
@@ -349,7 +352,8 @@ def test_eigenline_walk_matches_oracles():
             d = {"1": k, "2": k}
             oracle = flat_points(m, d)
             sources.append([pt.subspaces["1"] for pt in oracle])
-            walked = assert_engines_match(m, d, [pt.canonical_key() for pt in oracle])
+            walked = "eigenline" in assert_engines_match(
+                m, d, [pt.canonical_key() for pt in oracle])
             walk = _cheapest_walk(m, d, _invariant_setup(m, d), _Budget(DEFAULT_BUDGET))
             assert walked == (walk is not None)
             outcomes.add("scan" if walk is None else "subset" if walk.rest else "full")
@@ -359,6 +363,113 @@ def test_eigenline_walk_matches_oracles():
             assert split, m
         seen |= outcomes
     assert seen == {"full", "subset", "scan"}
+
+
+def _semisimple_modules(rng):
+    """Seeded semisimple K(2)/K(3) modules with equal dims and an identity arrow.
+
+    The other arrows are diagonal.  Each coordinate carries one of 2 or 3
+    distinct joint characters (at most p^(arrows - 1) of them), every
+    character at least one, so characters repeat across coordinates and
+    eigenvalues across characters.  The flat oracle's cost grows like
+    p^(2k(n-k)), so F_3 gets one quiver and F_5 and F_7 get n = 3.
+    """
+    k2, k3 = make_kronecker(2), make_kronecker(3)
+    for field, n, quivers in ((F2, 4, (k2, k3)), (F3, 4, (k2,)),
+                              (F5, 3, (k2, k3)), (F7, 3, (k2, k3))):
+        for q in quivers:
+            ids = [a.id for a in q.arrows]
+            unit = rng.choice(ids)
+            others = [aid for aid in ids if aid != unit]
+            for want in (2, 3):
+                chars = []
+                while len(chars) < min(want, field.p ** len(others)):
+                    chi = tuple(rng.randrange(field.p) for _ in others)
+                    if chi not in chars:
+                        chars.append(chi)
+                coords = chars + [rng.choice(chars) for _ in range(n - len(chars))]
+                rng.shuffle(coords)
+                mats = {unit: [[int(i == j) for j in range(n)] for i in range(n)]}
+                for idx, aid in enumerate(others):
+                    mats[aid] = [[coords[i][idx] if i == j else 0 for j in range(n)]
+                                 for i in range(n)]
+                yield make_representation(q, field, {"1": n, "2": n}, mats)
+
+
+def test_eigenspace_decomposition_matches_oracles():
+    # seeded differential test over F_2, F_3, F_5 and F_7: on rebased
+    # semisimple modules and every k, including 2k > n, the eigenspace
+    # decomposition, the scan and the eigenline walk give the flat oracle's
+    # points and count, and the automatic choice takes the decomposition
+    # wherever the probe runs
+    rng = random.Random(97)
+    probed = 0
+    for m in _semisimple_modules(rng):
+        m = _rebased(m, rng)
+        n, p = m.dims["1"], m.field.p
+        for k in range(n + 1):
+            d = {"1": k, "2": k}
+            keys = [pt.canonical_key() for pt in flat_points(m, d)]
+            assert assert_engines_match(m, d, keys) == set(ENGINES), (m, d)
+            if gaussian_binomial(n, 1, p) < gaussian_binomial(n, k, p):
+                assert auto_engine(m, d).semisimple, (m, d)
+                probed += 1
+            report = enumerate_submodules(m, d)
+            assert [pt.canonical_key() for pt in report.points] == keys, (m, d)
+            assert count_submodules(m, d) == report.count == len(keys)
+    assert probed > 0
+
+
+def test_eigenspace_decomposition_needs_semisimple_operators():
+    # split modules with a Jordan block and modules that are not split
+    # never take the eigenspace decomposition
+    rng = random.Random(101)
+    k2, k3 = make_kronecker(2), make_kronecker(3)
+    modules = []
+    for field in (F2, F3, F5):
+        lam, mu = rng.randrange(field.p), rng.randrange(field.p)
+        jordan = [[lam, 1, 0, 0], [0, lam, 0, 0], [0, 0, mu, 0], [0, 0, 0, mu]]
+        ident = [[int(i == j) for j in range(4)] for i in range(4)]
+        diag = [[rng.randrange(field.p) if i == j else 0 for j in range(4)]
+                for i in range(4)]
+        modules.append(make_representation(k2, field, {"1": 4, "2": 4},
+                                           {"a1": ident, "a2": jordan}))
+        modules.append(make_representation(k3, field, {"1": 4, "2": 4},
+                                           {"a1": diag, "a2": jordan, "a3": ident}))
+        if field.p > 2:
+            modules.append(case2_X((1, 2), field))
+    for m in modules:
+        m = _rebased(m, rng)
+        n = m.dims["1"]
+        for k in range(n + 1):
+            d = {"1": k, "2": k}
+            walk = _cheapest_walk(m, d, _invariant_setup(m, d), _Budget(DEFAULT_BUDGET))
+            assert walk is None or not walk.semisimple, (m, d)
+            assert engine_pairs(m, d, "eigenspace") is None
+            chosen = auto_engine(m, d)
+            assert chosen is None or not chosen.semisimple, (m, d)
+
+
+def test_eigenspace_budget_is_the_certificate_kernels_and_the_points():
+    # the degenerate K(2) module at (3,3) takes the eigenspace decomposition.
+    # The certificate charges 8 kernels: 7 for the flag of T = I on V*
+    # (three to find the character (1,), one per later step) and one for the
+    # eigenspace's dimension.  The eigenspace on V costs one more, and the
+    # points [5 choose 3]_3 = 1210, so a count and a list both need 1219.
+    ident = Matrix.identity(F3, 5)
+    degenerate = make_representation(make_kronecker(2), F3, {"1": 5, "2": 5},
+                                     {"a1": ident.entries, "a2": ident.entries})
+    d = {"1": 3, "2": 3}
+    budget = _Budget(DEFAULT_BUDGET)
+    walk = _cheapest_walk(degenerate, d, _invariant_setup(degenerate, d), budget)
+    assert walk.semisimple and walk.chars == [(1,)] and budget.used == 8
+    threshold = budget.used + len(walk.chars) + gaussian_binomial(5, 3, 3)
+    assert threshold == 1219
+    assert count_submodules(degenerate, d, budget=threshold) == 1210
+    assert enumerate_submodules(degenerate, d, budget=threshold).count == 1210
+    for run in (count_submodules, enumerate_submodules):
+        with pytest.raises(BudgetExceeded):
+            run(degenerate, d, budget=threshold - 1)
 
 
 def test_sub_representation_matches_solve_oracle():
@@ -392,17 +503,19 @@ def _remark_witness(p, b):
 
 
 def test_automatic_engine_choice_on_baseline_instances():
-    # the remark witnesses are split with three characters, and the eigenline
-    # walk runs over both operators.  The bijection's case-2 module is not
-    # split, but one of its operators is, so the walk runs on V* (2k > n)
-    # over that one and keeps the points the other fixes.  On the degenerate
-    # K(2) module every subspace is invariant: split with one character, but
-    # the walk's bound passes G.
+    # the remark witnesses are split with three characters but not
+    # semisimple, and the eigenline walk runs over both operators.  The
+    # bijection's case-2 module is not split, but one of its operators is, so
+    # the walk runs on V* (2k > n) over that one and keeps the points the
+    # other fixes.  On the degenerate K(2) module every subspace is
+    # invariant: split with one character whose eigenspace is all of V, so
+    # the eigenspace decomposition runs, although the walk's bound passes G.
     d = {"1": 3, "2": 3}
     for p in (3, 5):
         for b in (1, 2, 3):
             walk = auto_engine(_remark_witness(p, b), d)
             assert walk is not None and walk.rest == [], (p, b)
+            assert not walk.semisimple, (p, b)
             assert sorted(walk.chars) == [(0, 0), (1, 0), (2, 0)], (p, b)
     case2 = build_eta(case2_instance(F3), coordinate_inclusion_N(F3, 2)).m
     assert case2.dims == {"1": 5, "2": 5}
@@ -410,6 +523,7 @@ def test_automatic_engine_choice_on_baseline_instances():
     assert _split_characters(F3, setup[3], 5, _Budget(DEFAULT_BUDGET)) is None
     walk = auto_engine(case2, d)
     assert (len(walk.ops), len(walk.rest), walk.dual) == (1, 1, True)
+    assert not walk.semisimple
     assert walk.chars == [(0,), (1,), (2,)]
     keys = sorted(SubmodulePoint._trusted(case2, s).canonical_key()
                   for _, s in engine_pairs(case2, d, "scan"))
@@ -417,7 +531,8 @@ def test_automatic_engine_choice_on_baseline_instances():
     ident = Matrix.identity(F3, 5)
     degenerate = make_representation(make_kronecker(2), F3, {"1": 5, "2": 5},
                                      {"a1": ident.entries, "a2": ident.entries})
-    assert auto_engine(degenerate, d) is None
+    walk = auto_engine(degenerate, d)
+    assert walk.semisimple and walk.bound > gaussian_binomial(5, 3, 3)
     setup = _invariant_setup(degenerate, d)
     assert _split_characters(F3, setup[3], 5, _Budget(DEFAULT_BUDGET)) == [(1,)]
 
@@ -449,25 +564,6 @@ def test_grassmannian_of_plain_vector_space():
         m = make_representation(k2, F3, {"1": 0, "2": n}, {})
         d = {"1": 0, "2": k}
         assert count_submodules(m, d) == gaussian_binomial(n, k, 3)
-
-
-def test_bristle_points_examples():
-    k2 = make_kronecker(2)
-    b = make_representation(k2, F3, {"1": 1, "2": 1}, {"a1": [[1]], "a2": [[0]]})
-    assert bristle_points(b).count == 1
-    split = direct_sum(simple(k2, "1", F3), simple(k2, "2", F3))
-    assert bristle_points(split).count == 0
-    # on a reduced module every (1,1) point has nonzero arrow action
-    p = projective(k2, "1", F3)
-    m = direct_sum(p, b)
-    all_11 = enumerate_submodules(m, {"1": 1, "2": 1})
-    assert bristle_points(m).count == all_11.count
-    # adding a source simple creates points the bristle filter drops
-    unreduced = direct_sum(b, simple(k2, "1", F3))
-    assert bristle_points(unreduced).count < \
-        enumerate_submodules(unreduced, {"1": 1, "2": 1}).count
-    with pytest.raises(ValueError):
-        bristle_points(simple(A2, "1", F3))
 
 
 def test_report_json_shape():

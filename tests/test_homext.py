@@ -12,7 +12,6 @@ from quivergrass.homext import (
     hom_basis,
     hom_ext_dims,
     is_brick,
-    is_exceptional,
     is_reduced_kronecker,
 )
 from quivergrass.quiverrep import (
@@ -22,13 +21,12 @@ from quivergrass.quiverrep import (
     make_kronecker,
     make_representation,
     projective,
-    random_representation,
     rep_power,
     simple,
     zero_representation,
 )
 
-from oracles import cocycle_is_coboundary
+from oracles import cocycle_is_coboundary, is_exceptional, random_representation
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)

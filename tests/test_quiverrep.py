@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -16,7 +18,6 @@ from quivergrass.quiverrep import (
     direct_sum,
     dual,
     field_from_json,
-    image_point,
     injective,
     make_kronecker,
     make_representation,
@@ -24,9 +25,7 @@ from quivergrass.quiverrep import (
     projective,
     quiver_from_json,
     quiver_to_json,
-    quotient_representation,
     random_invertible,
-    random_representation,
     rep_power,
     representation_from_json,
     representation_to_json,
@@ -35,7 +34,7 @@ from quivergrass.quiverrep import (
     zero_representation,
 )
 
-from oracles import is_isomorphic
+from oracles import image_point, is_isomorphic, quotient_representation, random_representation
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -62,6 +61,23 @@ def test_topological_order():
     assert q.topological_order() == ["a", "b", "c"]
     assert make_kronecker(2).topological_order() == ["1", "2"]
     assert A3.topological_order() == ["1", "2", "3"]
+
+
+def test_topological_order_is_computed_once_and_copied():
+    # a caller may mutate the list it gets; the quiver's order stays put.
+    # The order is derived state: equality, repr and pickling see the fields
+    q = Quiver(("c", "a", "b"), (Arrow("x", "a", "c"), Arrow("y", "b", "c")))
+    order = q.topological_order()
+    order.reverse()
+    order.append("z")
+    assert q.topological_order() == ["a", "b", "c"]
+    assert q.topological_order() is not q.topological_order()
+    assert repr(q) == ("Quiver(vertices=('c', 'a', 'b'), arrows=("
+                       "Arrow(id='x', source='a', target='c'), "
+                       "Arrow(id='y', source='b', target='c')))")
+    for copied in (pickle.loads(pickle.dumps(q)), copy.copy(q)):
+        assert copied == q and hash(copied) == hash(q)
+        assert copied.topological_order() == ["a", "b", "c"]
 
 
 def test_sources_sinks_connected():

@@ -3,13 +3,12 @@ import pytest
 from quivergrass.quiverrep import Arrow, Quiver, make_kronecker
 from quivergrass.reptype import (
     ClassificationResult,
-    NoRemovableVertex,
-    NotApplicable,
     classify,
-    find_removable_extremal_vertex,
     symmetric_inertia,
     tits_definiteness,
 )
+
+from oracles import NoRemovableVertex, NotApplicable, find_removable_extremal_vertex
 
 
 def path(n):
