@@ -38,7 +38,10 @@ instead of walking them, and builds no points of the walk or of the
 eigenspace decomposition.
 
 Counts are exact point counts over F_p.  The work budget of an enumeration
-is charged here and nowhere else: see _Budget.
+is charged here and nowhere else (see _Budget).  The eigenspace
+decomposition charges the kernels of its certificate, one kernel per
+character for the E_chi on V and the point count, once, before the first
+point, so a count and a list need the same budget.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ hereditary, its cokernel is Ext^1(M, N).  Both are read off one matrix.
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .exactlinalg import FieldSpec, Matrix, Record, kernel_basis, rref, vstack
 from .quiverrep import (

@@ -72,7 +72,8 @@ class Quiver(Record):
         for a in arrs:
             if a.source not in vset or a.target not in vset:
                 raise ValueError(f"arrow {a.id} has endpoints outside the quiver")
-        object.__setattr__(self, "_order", self._topological_sort())  # raises on a directed cycle
+        # raises on a directed cycle
+        object.__setattr__(self, "_order", self._topological_sort())
 
     def _fields(self) -> tuple:
         return (self.vertices, self.arrows)
