@@ -1,12 +1,15 @@
-"""Exact dense linear algebra over prime fields F_p and over the rationals.
+"""Exact linear algebra over prime fields F_p and over the rationals.
 
 Everything here is exact: prime field elements are Python ints reduced into
 [0, p), rational entries are fractions.Fraction in lowest terms.  No floats
 anywhere.  FieldSpec alone knows how entries reduce: every matrix operation and
 kernel here is one body over its row primitives (x + f*y, c*x, a row times a
-list of columns).  The module provides the canonical reduced row echelon form
-(RREF), kernel bases, inverses, and a deterministic enumeration of all
-k-dimensional subspaces of F_p^n by canonical RREF representatives.
+list of columns; c*x and x -= f*y on sparse rows).  Matrices are dense.  The
+canonical reduced row echelon form (RREF), kernel bases, inverses and the
+deterministic enumeration of all k-dimensional subspaces of F_p^n by canonical
+RREF representatives run on the dense Gauss-Jordan kernel.  Matrix.rank reads
+one integer, so it runs forward elimination on sparse rows of whichever of the
+matrix and its transpose has fewer rows.
 """
 
 from __future__ import annotations
@@ -192,6 +195,27 @@ class FieldSpec(Record):
             return [sum(map(mul, x, col), z) for col in cols]
         return [sum(map(mul, x, col)) % p for col in cols]
 
+    # Sparse row primitives: a row is a {column: nonzero entry} dict.
+
+    def sparse_scale(self, c, x: dict) -> dict:
+        """The sparse row c*x, for a unit c."""
+        p = self.p
+        if p is None:
+            return {j: c * a for j, a in x.items()}
+        return {j: c * a % p for j, a in x.items()}
+
+    def sparse_sub(self, x: dict, f, y: dict) -> None:
+        """x -= f*y in place, dropping the entries that become zero."""
+        p = self.p
+        for j, b in y.items():
+            a = x.get(j, 0) - f * b
+            if p is not None:
+                a %= p
+            if a:
+                x[j] = a
+            else:
+                del x[j]
+
 
 class Matrix:
     """Immutable dense matrix with exact entries over a FieldSpec.
@@ -302,7 +326,7 @@ class Matrix:
         return Matrix(self.field, rows, ncols=self.nrows, _trusted=True)
 
     def rank(self) -> int:
-        return rref(self).rank
+        return _sparse_rank(self)
 
     def _assert_same_shape(self, other: "Matrix") -> None:
         if self.field != other.field:
@@ -399,6 +423,28 @@ def _rref_rows(rows: list, ncols: int, field: FieldSpec) -> tuple:
         if r == nrows:
             break
     return r, tuple(pivots)
+
+
+def _sparse_rank(m: Matrix) -> int:
+    """Rank by forward elimination on sparse {column: entry} rows.
+
+    Rows of the orientation with fewer rows are taken sparsest first (fewer
+    fill-ins) and reduced against the pivot rows found so far, in the order
+    found: each is zero at the earlier pivot columns.  A nonzero remainder is
+    the next pivot row, scaled to 1 at its first column.
+    """
+    rows = m.entries if m.nrows <= m.ncols else m.transpose().entries
+    sub, scale, inv = m.field.sparse_sub, m.field.sparse_scale, m.field.inv
+    pivots = {}
+    for row in sorted(({j: x for j, x in enumerate(r) if x} for r in rows), key=len):
+        for c, prow in pivots.items():
+            f = row.get(c)
+            if f:
+                sub(row, f, prow)
+        if row:
+            c = next(iter(row))
+            pivots[c] = scale(inv(row[c]), row)
+    return len(pivots)
 
 
 def rref(m: Matrix) -> RrefResult:

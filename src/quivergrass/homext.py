@@ -224,4 +224,4 @@ def is_reduced_kronecker(n: Representation) -> bool:
         raise ValueError("reducedness test needs a Kronecker shaped quiver")
     _src, _tgt, arrow_ids = shape
     stacked = vstack([n.matrices[aid] for aid in arrow_ids])
-    return rref(stacked).rank == n.dims[_src]
+    return stacked.rank() == n.dims[_src]

@@ -2,6 +2,7 @@
 
 Its checkers are deterministic; the only random code is the generator
 random_invertible, which uses the rng its caller passes in.  Field entries are reduced mod p only by FieldSpec.
+A rank alone is read through Matrix.rank, never off a full RREF.
 The checkers of construct decide each submodule from Hom dimensions and ranks,
 without building quotient modules or isomorphism bases.
 """
@@ -70,6 +71,21 @@ def test_only_fieldspec_reduces_entries():
             if _reduces_mod_p(node):
                 found.append(f"{path.name}:{node.lineno}")
             stack.extend(ast.iter_child_nodes(node))
+    assert found == []
+
+
+def test_rank_reads_go_through_matrix_rank():
+    # Matrix.rank has its own sparse kernel; rref(...).rank would run the
+    # dense canonical one to read the same integer
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "rank"
+                    and isinstance(node.value, ast.Call)):
+                func = node.value.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "rref":
+                    found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 

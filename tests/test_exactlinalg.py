@@ -286,6 +286,73 @@ def test_kernels_match_reference():
                    for row in empty.entries for x in row)
 
 
+RANK_FIELDS = [FieldSpec.prime(p) for p in (2, 3, 5, 7, 2 ** 31 - 1)] + [QQ]
+
+
+def _nonzero(field, rng):
+    if field.is_prime:
+        return rng.randrange(1, field.p)
+    return Fraction(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), rng.randint(1, 3))
+
+
+def _sparse_rows(field, nr, nc, density, rng):
+    """nr x nc entries, each nonzero with probability density."""
+    return [[_nonzero(field, rng) if rng.random() < density else field.zero
+             for _ in range(nc)] for _ in range(nr)]
+
+
+def _of_rank(field, nr, nc, r, density, rng):
+    """An nr x nc matrix of rank exactly r, as a product A B of an injective A
+    (a scaled permutation on r of its rows) and a surjective B (a scaled
+    identity on r of its columns), sparse elsewhere with the given density."""
+    a = _sparse_rows(field, nr, r, density, rng)
+    b = _sparse_rows(field, r, nc, density, rng)
+    for k, i in enumerate(rng.sample(range(nr), r)):
+        a[i] = [field.zero] * r
+        a[i][k] = _nonzero(field, rng)
+    for k, j in enumerate(rng.sample(range(nc), r)):
+        for row in b:
+            row[j] = field.zero
+        b[k][j] = _nonzero(field, rng)
+    return reference_matmul(Matrix(field, a, ncols=r), Matrix(field, b, ncols=nc))
+
+
+def test_sparse_rank_matches_dense_rank():
+    # seeded differential test of Matrix.rank (sparse forward elimination, on
+    # the orientation with fewer rows) against the dense RREF rank, on
+    # 0 x n, n x 0, zero, full-rank, tall, wide and square matrices of mixed
+    # density, of known rank and of random rank
+    rng = random.Random(97)
+    shapes = [(0, 0), (0, 5), (5, 0), (1, 1), (3, 3), (6, 6), (2, 7), (4, 9),
+              (7, 2), (9, 4), (10, 24), (24, 10)]
+    for field in RANK_FIELDS:
+        for nr, nc in shapes:
+            for density in (0.0, 0.1, 0.3, 0.6, 1.0):
+                for r in sorted({0, min(nr, nc), rng.randint(0, min(nr, nc))}):
+                    m = _of_rank(field, nr, nc, r, density, rng)
+                    assert m.rank() == r == rref(m).rank, (field, nr, nc, density)
+                    assert m.transpose().rank() == r
+                m = Matrix(field, _sparse_rows(field, nr, nc, density, rng), ncols=nc)
+                rank, _ = reference_rref_rows([list(row) for row in m.entries], nc, field)
+                assert m.rank() == rank == rref(m).rank, (field, nr, nc, density)
+
+
+def test_sparse_row_primitives_match_dense_ones():
+    rng = random.Random(98)
+    for field in RANK_FIELDS:
+        for _ in range(40):
+            n = rng.randint(0, 8)
+            x, y = _sparse_rows(field, 2, n, rng.random(), rng)
+            f = _nonzero(field, rng)
+            sparse = {j: a for j, a in enumerate(x) if a}
+            field.sparse_sub(sparse, f, {j: b for j, b in enumerate(y) if b})
+            want = field.add_scaled(x, field.coerce(-f), y)
+            assert sparse == {j: a for j, a in enumerate(want) if a}
+            assert _canonical(Matrix(field, [list(sparse.values())], ncols=len(sparse)))
+            scaled = field.sparse_scale(f, {j: a for j, a in enumerate(x) if a})
+            assert scaled == {j: a for j, a in enumerate(field.scale_row(f, x)) if a}
+
+
 def test_solve():
     a = Matrix(F5, [[1, 2], [3, 4]], ncols=2)
     x = solve(a, [1, 1])

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from quivergrass.exactlinalg import FieldSpec, Matrix
+from quivergrass.exactlinalg import FieldSpec, Matrix, rref
 from quivergrass.homext import (
     ExtCocycle,
+    _differential,
     are_orthogonal_bricks,
     euler_form,
     ext1,
@@ -17,10 +18,12 @@ from quivergrass.homext import (
 from quivergrass.quiverrep import (
     Arrow,
     Quiver,
+    change_of_basis,
     direct_sum,
     make_kronecker,
     make_representation,
     projective,
+    random_invertible,
     rep_power,
     simple,
     zero_representation,
@@ -55,6 +58,34 @@ def test_hom_basis_matches_dims():
         assert basis.dim == hom_ext_dims(m, n)[0]
         for f in basis.basis:
             assert f.source == m and f.target == n
+
+
+def _rebased_sum(parts, rng):
+    m = zero_representation(parts[0].quiver, parts[0].field)
+    for part in parts:
+        m = direct_sum(m, part)
+    return change_of_basis(m, {v: random_invertible(m.field, m.dims[v], rng)
+                               for v in m.quiver.vertices})
+
+
+def test_rank_path_matches_rref_path_on_rebased_sums():
+    # hom_ext_dims reads one sparse rank of the differential; hom_basis and
+    # ext1 read the dense canonical RREF of the same matrix
+    rng = random.Random(31)
+    tri = Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3"),
+                                   Arrow("c", "1", "3"), Arrow("d", "1", "3")))
+    quivers = (A2, make_kronecker(2), make_kronecker(3), tri)
+    fields = [FieldSpec.prime(p) for p in (2, 3, 5, 7, 2 ** 31 - 1)] + [FieldSpec.rational()]
+    for field in fields:
+        for _ in range(12):
+            q = rng.choice(quivers)
+            m, n = (_rebased_sum([rng.choice((projective, simple))(q, rng.choice(q.vertices), field)
+                                  for _ in range(rng.randint(1, 3))]
+                                 + [random_representation(q, field, rng, max_dim=2)], rng)
+                    for _ in range(2))
+            d = _differential(m, n).matrix
+            assert d.rank() == rref(d).rank == d.transpose().rank()
+            assert hom_ext_dims(m, n) == (hom_basis(m, n).dim, ext1(m, n).dim)
 
 
 def test_projectives_have_no_ext():
