@@ -6,10 +6,9 @@ anywhere.  FieldSpec alone knows how entries reduce: every matrix operation and
 kernel here is one body over its row primitives (x + f*y, c*x, a row times a
 list of columns; c*x and x -= f*y on sparse rows).  Matrices are dense.  The
 canonical reduced row echelon form (RREF), kernel bases, inverses and the
-deterministic enumeration of all k-dimensional subspaces of F_p^n by canonical
-RREF representatives run on the dense Gauss-Jordan kernel.  Matrix.rank reads
-one integer, so it runs forward elimination on sparse rows of whichever of the
-matrix and its transpose has fewer rows.
+enumeration of all k-dimensional subspaces of F_p^n by canonical RREF
+representatives run on the dense Gauss-Jordan kernel.  Matrix.rank runs
+forward elimination on the sparse rows of the matrix or its transpose.
 """
 
 from __future__ import annotations
@@ -195,10 +194,8 @@ class FieldSpec(Record):
             return [sum(map(mul, x, col), z) for col in cols]
         return [sum(map(mul, x, col)) % p for col in cols]
 
-    # Sparse row primitives: a row is a {column: nonzero entry} dict.
-
     def sparse_scale(self, c, x: dict) -> dict:
-        """The sparse row c*x, for a unit c."""
+        """c*x for a unit c, on sparse rows: {column: nonzero entry} dicts."""
         p = self.p
         if p is None:
             return {j: c * a for j, a in x.items()}

@@ -487,8 +487,6 @@ def change_of_basis(m: Representation, g: Dict[str, Matrix]) -> Representation:
 
 def random_invertible(field: FieldSpec, n: int, rng: random.Random) -> Matrix:
     """A uniformly sampled invertible n x n matrix (rejection sampling)."""
-    if n == 0:
-        return Matrix.zeros(field, 0, 0)
     while True:
         if field.is_prime:
             rows = [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)]
