@@ -182,11 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="built-in instances of the constructions")
     p.add_argument("which", choices=("case2", "case1", "remark"))
     p.add_argument("--field", default="p=3", help="p=<prime> or rational")
-    p.add_argument("--n", type=int, default=2,
+    p.add_argument("--n", type=int, default=None,
                    help="number of Kronecker arrows (case2)")
     p.add_argument("--lambdas", default=None,
                    help="comma-separated eigenvalues (case2)")
-    p.add_argument("--b", type=int, default=1,
+    p.add_argument("--b", type=int, default=None,
                    help="source dimension of the counterexample N (remark)")
     return parser
 
@@ -327,18 +327,23 @@ def _demo_eta(ctx, n_rep, args) -> int:
 def _cmd_demo(args) -> int:
     from .construct import (case1_instance, case2_instance, coordinate_inclusion_N,
                             regular_N, remark_counterexample_demo)
+    for flag, value, case in (("--n", args.n, "case2"), ("--lambdas", args.lambdas, "case2"),
+                              ("--b", args.b, "remark")):
+        if value is not None and args.which != case:
+            raise InputError(f"{flag} applies only to demo {case}, not {args.which}")
     field = _parse_field(args.field)
     if args.which == "case2":
-        if args.n < 2:
-            raise InputError(f"--n must be at least 2, got {args.n}")
-        ctx = case2_instance(field, n=args.n,
-                             lambdas=_parse_lambdas(args.lambdas, args.n))
+        n = 2 if args.n is None else args.n
+        if n < 2:
+            raise InputError(f"--n must be at least 2, got {n}")
+        ctx = case2_instance(field, n=n, lambdas=_parse_lambdas(args.lambdas, n))
         return _demo_eta(ctx, coordinate_inclusion_N(field, ctx.n), args)
     if args.which == "case1":
         return _demo_eta(case1_instance(field), regular_N(field), args)
-    if args.b not in (1, 2, 3):
-        raise InputError(f"--b must be 1, 2 or 3, got {args.b}")
-    report = remark_counterexample_demo(field, b=args.b, budget=args.budget)
+    b = 1 if args.b is None else args.b
+    if b not in (1, 2, 3):
+        raise InputError(f"--b must be 1, 2 or 3, got {b}")
+    report = remark_counterexample_demo(field, b=b, budget=args.budget)
     _emit(report.to_json(count_only=args.count_only), args.output)
     # the interesting outcome is a failing condition (C): report it as a
     # failed check so scripts can distinguish it from "nothing found"

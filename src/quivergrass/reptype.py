@@ -6,13 +6,15 @@ classification is graph recognition: Dynkin graphs A/D/E are finite type,
 extended Dynkin graphs are tame, everything else is wild.  An independent
 numerical oracle, the definiteness of the Tits form, is provided for
 cross-checking: positive definite = finite, positive semidefinite = tame,
-indefinite = wild.
+indefinite = wild.  It is decided by the signs of the leading principal
+minors of the integer Tits matrix, read off one fraction-free elimination
+(Bareiss 1968), via Sylvester's criterion and the principal submatrices of
+irreducible M-matrices (Berman and Plemmons, ch. 6).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .exactlinalg import Record
 from .quiverrep import Quiver
@@ -132,64 +134,34 @@ def _tits_matrix(q: Quiver) -> List[List[int]]:
     return s
 
 
-def symmetric_inertia(rows: List[List[int]]) -> Tuple[int, int, int]:
-    """(positive, negative, zero) eigenvalue counts of a symmetric matrix.
-
-    Exact congruence reduction over the rationals; zero diagonals with a
-    nonzero off-diagonal partner are handled as hyperbolic pairs, which
-    contribute one positive and one negative inertia unit each.
-    """
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    active = list(range(n))
-    pos = neg = zero = 0
-    while active:
-        piv = next((i for i in active if m[i][i] != 0), None)
-        if piv is not None:
-            d = m[piv][piv]
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            active.remove(piv)
-            # symmetric rank-one update; symmetry of the block is preserved
-            for u in active:
-                if m[piv][u] == 0:
-                    continue
-                f = m[piv][u] / d
-                for v in active:
-                    m[u][v] -= f * m[piv][v]
-            continue
-        pair = None
-        for i in active:
-            for j in active:
-                if i < j and m[i][j] != 0:
-                    pair = (i, j)
-                    break
-            if pair:
-                break
-        if pair is None:
-            zero += len(active)
-            break
-        i, j = pair
-        s = m[i][j]
-        pos += 1
-        neg += 1
-        active.remove(i)
-        active.remove(j)
-        for u in active:
-            for v in active:
-                m[u][v] -= (m[i][u] * m[j][v] + m[j][u] * m[i][v]) / s
-    return pos, neg, zero
-
-
 def tits_definiteness(q: Quiver) -> str:
-    """Exact definiteness class of the Tits quadratic form of q."""
+    """Exact definiteness class of the Tits quadratic form of q.
+
+    Integer Bareiss elimination (Bareiss 1968) without row exchanges puts
+    the leading principal minors D_1, ..., D_n of the Tits matrix on the
+    pivots, and D_k / D_{k-1} are the pivots of its LDL^T congruence.  So
+    all D_k > 0 is positive definite (Sylvester), and D_1, ..., D_{n-1} > 0
+    with D_n = 0 is positive semidefinite.  Any other sign pattern is
+    indefinite in every vertex order: the Tits matrix of a connected quiver
+    is a symmetric irreducible Z-matrix, so were it semidefinite it would be
+    an irreducible M-matrix, whose proper principal submatrices are all
+    nonsingular M-matrices (Berman and Plemmons, ch. 6) with D_k > 0.
+    """
     if not q.is_connected():
         raise ValueError("definiteness oracle needs a connected quiver")
-    pos, neg, zero = symmetric_inertia(_tits_matrix(q))
-    if neg == 0 and zero == 0:
+    m = _tits_matrix(q)
+    n = len(m)
+    prev = 1
+    for k in range(n - 1):
+        d = m[k][k]
+        if d <= 0:
+            return "indefinite"
+        for i in range(k + 1, n):
+            row, f = m[i], m[i][k]
+            for j in range(k + 1, n):
+                row[j] = (d * row[j] - f * m[k][j]) // prev
+        prev = d
+    d = m[n - 1][n - 1]
+    if d > 0:
         return "positive_definite"
-    if neg == 0:
-        return "positive_semidefinite"
-    return "indefinite"
+    return "positive_semidefinite" if d == 0 else "indefinite"

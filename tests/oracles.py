@@ -7,12 +7,14 @@ through FieldSpec's row primitives, and it reads submodule coordinates off
 canonical bases instead of solving.  The quotient and image constructions,
 the random representation generator, the exceptional-module test and the
 removable-vertex search are used by tests alone, so they live here too.
+`symmetric_inertia`, a congruence reduction over Q for any symmetric
+matrix, is the reference for `reptype.tits_definiteness`.
 """
 
 import random
 from fractions import Fraction
 from itertools import product
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from quivergrass.exactlinalg import (
     FieldSpec, Matrix, _rref_rows, hstack, pivot_columns, row_space)
@@ -335,3 +337,54 @@ def find_removable_extremal_vertex(q: Quiver) -> Tuple[str, Quiver]:
     raise NoRemovableVertex(
         "no sink or source can be deleted while keeping the rest connected "
         "and representation-infinite")
+
+
+def symmetric_inertia(rows: List[List[int]]) -> Tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of a symmetric matrix.
+
+    Exact congruence reduction over the rationals; zero diagonals with a
+    nonzero off-diagonal partner are handled as hyperbolic pairs, which
+    contribute one positive and one negative inertia unit each.
+    """
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    active = list(range(n))
+    pos = neg = zero = 0
+    while active:
+        piv = next((i for i in active if m[i][i] != 0), None)
+        if piv is not None:
+            d = m[piv][piv]
+            if d > 0:
+                pos += 1
+            else:
+                neg += 1
+            active.remove(piv)
+            # symmetric rank-one update; symmetry of the block is preserved
+            for u in active:
+                if m[piv][u] == 0:
+                    continue
+                f = m[piv][u] / d
+                for v in active:
+                    m[u][v] -= f * m[piv][v]
+            continue
+        pair = None
+        for i in active:
+            for j in active:
+                if i < j and m[i][j] != 0:
+                    pair = (i, j)
+                    break
+            if pair:
+                break
+        if pair is None:
+            zero += len(active)
+            break
+        i, j = pair
+        s = m[i][j]
+        pos += 1
+        neg += 1
+        active.remove(i)
+        active.remove(j)
+        for u in active:
+            for v in active:
+                m[u][v] -= (m[i][u] * m[j][v] + m[j][u] * m[i][v]) / s
+    return pos, neg, zero

@@ -302,6 +302,15 @@ def test_bad_flags(capsys, tmp_path):
              "--lambdas must be comma-separated integers, got '2, 4,'")):
         code, out, err = run_cli(capsys, ["demo", "case2", *argv])
         assert (code, out, err) == (1, "", f"error: {msg}\n")
+    for which, argv, case in (
+            ("case1", ["--n", "7", "--lambdas", "1,2"], "case2"),
+            ("case1", ["--lambdas", "1,2"], "case2"),
+            ("remark", ["--n", "2"], "case2"),
+            ("case1", ["--b", "1"], "remark"),
+            ("case2", ["--b", "3"], "remark")):
+        code, out, err = run_cli(capsys, ["demo", which, *argv])
+        assert (code, out) == (1, "")
+        assert err == f"error: {argv[0]} applies only to demo {case}, not {which}\n"
     code, _, _ = run_cli(capsys, ["--help"])
     assert code == 0
 

@@ -1,14 +1,16 @@
+import random
+
 import pytest
 
 from quivergrass.quiverrep import Arrow, Quiver, make_kronecker
-from quivergrass.reptype import (
-    ClassificationResult,
-    classify,
-    symmetric_inertia,
-    tits_definiteness,
-)
+from quivergrass.reptype import ClassificationResult, classify, tits_definiteness
 
-from oracles import NoRemovableVertex, NotApplicable, find_removable_extremal_vertex
+from oracles import (
+    NoRemovableVertex, NotApplicable, find_removable_extremal_vertex, symmetric_inertia)
+
+KIND_OF_CLASS = {"positive_definite": "finite",
+                 "positive_semidefinite": "tame",
+                 "indefinite": "wild"}
 
 
 def path(n):
@@ -119,23 +121,97 @@ def test_symmetric_inertia_basic():
     assert symmetric_inertia([[2, -3], [-3, 2]]) == (1, 1, 0)
 
 
+def tits_rows(q):
+    """Twice the Tits form of q as an integer matrix, in q's vertex order."""
+    return [[2 * (u == v) - sum((a.source, a.target) in ((u, v), (v, u))
+                                for a in q.arrows)
+             for v in q.vertices] for u in q.vertices]
+
+
+def inertia_class(rows):
+    """Definiteness class of a symmetric matrix by the inertia oracle."""
+    pos, neg, zero = symmetric_inertia(rows)
+    if neg == 0 and zero == 0:
+        return "positive_definite"
+    return "positive_semidefinite" if neg == 0 else "indefinite"
+
+
+def leading_minor_signs(rows):
+    """Signs of the leading principal minors D_1, ..., D_n, read off inertias."""
+    signs = []
+    for k in range(1, len(rows) + 1):
+        _, neg, zero = symmetric_inertia([row[:k] for row in rows[:k]])
+        signs.append(0 if zero else (-1) ** neg)
+    return signs
+
+
 def test_tits_definiteness_matches_classification():
+    def quiver(verts, pairs):
+        return Quiver(verts, tuple(Arrow(f"a{i}", s, t)
+                                   for i, (s, t) in enumerate(pairs)))
+    cycle_arrows = (("1", "2"), ("2", "3"), ("3", "4"), ("1", "4"))
+    dtilde_arrows = tuple(("c", leaf) for leaf in "wxyz")
+    # (quiver, class, signs of D_1, ..., D_n in its vertex order); a zero
+    # or negative D_k with k < n must give "indefinite", never a division
     cases = [
-        (path(4), "positive_definite"),
-        (star([1, 2, 4]), "positive_definite"),
-        (make_kronecker(2), "positive_semidefinite"),
-        (cycle(4), "positive_semidefinite"),
-        (star([2, 2, 2]), "positive_semidefinite"),
-        (make_kronecker(3), "indefinite"),
-        (star([1, 2, 6]), "indefinite"),
+        (Quiver(("1",), ()), "positive_definite", [1]),
+        (path(4), "positive_definite", [1] * 4),
+        (star([1, 2, 4]), "positive_definite", [1] * 8),
+        (make_kronecker(2), "positive_semidefinite", [1, 0]),
+        (cycle(4), "positive_semidefinite", [1, 1, 1, 0]),
+        (quiver(("1", "3", "2", "4"), cycle_arrows), "positive_semidefinite",
+         [1, 1, 1, 0]),
+        (quiver(("c", "w", "x", "y", "z"), dtilde_arrows), "positive_semidefinite",
+         [1, 1, 1, 1, 0]),
+        (quiver(("w", "x", "y", "z", "c"), dtilde_arrows), "positive_semidefinite",
+         [1, 1, 1, 1, 0]),
+        (star([2, 2, 2]), "positive_semidefinite", [1] * 6 + [0]),
+        (make_kronecker(3), "indefinite", [1, -1]),
+        # its first nine vertices span E~8
+        (star([1, 2, 6]), "indefinite", [1] * 8 + [0, -1]),
+        # a K(2) block first: a Bareiss step past D_2 = 0 divides by zero
+        (quiver(("1", "2", "3", "4"), (("1", "2"), ("1", "2"), ("2", "4"), ("4", "3"))),
+         "indefinite", [1, 0, 0, -1]),
+        # two K(3) blocks joined by one arrow: D_2 < 0 although D_4 > 0
+        (quiver(("1", "2", "3", "4"), (("1", "2"),) * 3 + (("3", "4"),) * 3 + (("2", "3"),)),
+         "indefinite", [1, -1, -1, 1]),
     ]
-    for q, expected in cases:
+    for q, expected, signs in cases:
+        rows = tits_rows(q)
+        assert leading_minor_signs(rows) == signs
+        assert inertia_class(rows) == expected
         assert tits_definiteness(q) == expected
-        kind = classify(q).kind
-        expected_kind = {"positive_definite": "finite",
-                         "positive_semidefinite": "tame",
-                         "indefinite": "wild"}[expected]
-        assert kind == expected_kind
+        assert classify(q).kind == KIND_OF_CLASS[expected]
+
+
+def random_connected_quiver(rng, n):
+    """Connected acyclic quiver on n vertices, edge multiplicities 1 to 3.
+
+    Arrows run from lower to higher topological index over a random
+    spanning tree plus a few chords; the vertex tuple is shuffled, so the
+    order the Tits matrix is built in is random too.
+    """
+    edges = {(rng.randrange(i), i) for i in range(1, n)}
+    edges |= {(i, j) for j in range(n) for i in range(j) if rng.random() < 0.12}
+    arrows = [Arrow(f"a{i}_{j}_{k}", f"v{i}", f"v{j}")
+              for i, j in sorted(edges)
+              for k in range(rng.choices((1, 2, 3), (14, 2, 1))[0])]
+    verts = [f"v{i}" for i in range(n)]
+    rng.shuffle(verts)
+    return Quiver(tuple(verts), tuple(arrows))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_tits_definiteness_matches_inertia_oracle(seed):
+    rng = random.Random(seed)
+    seen = {}
+    for _ in range(1000):
+        q = random_connected_quiver(rng, rng.randint(1, 9))
+        got = tits_definiteness(q)
+        assert got == inertia_class(tits_rows(q)), q
+        assert classify(q).kind == KIND_OF_CLASS[got], q
+        seen[got] = seen.get(got, 0) + 1
+    assert min(seen.get(c, 0) for c in KIND_OF_CLASS) >= 20, seen
 
 
 def test_find_removable_on_kronecker_with_tail():
