@@ -109,76 +109,88 @@ def _emit(data: dict, output: str) -> None:
         print(_render_text(data))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="enumeration work budget")
-    common.add_argument("--count-only", action="store_true",
-                        help="omit point lists from reports")
-    common.add_argument("--output", choices=("json", "text"), default="json")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: one `error:` line and exit 1, as exit 2
+    means a failed check."""
 
-    parser = argparse.ArgumentParser(
+    def error(self, message):
+        raise InputError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # each command takes only the flags it reads: --budget where it
+    # enumerates, --count-only where its report lists points
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                        help="enumeration work budget")
+    count_only = argparse.ArgumentParser(add_help=False)
+    count_only.add_argument("--count-only", action="store_true",
+                            help="omit point lists from reports")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", choices=("json", "text"), default="json")
+
+    parser = _Parser(
         prog="quivergrass",
         description="exact quiver representation computations over small fields")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[output],
                        help="representation type of a quiver")
     p.add_argument("--quiver", required=True)
 
-    p = sub.add_parser("hom", parents=[common], help="dimension of Hom(rep1, rep2)")
+    p = sub.add_parser("hom", parents=[output], help="dimension of Hom(rep1, rep2)")
     p.add_argument("--rep1", required=True)
     p.add_argument("--rep2", required=True)
 
-    p = sub.add_parser("ext1", parents=[common], help="dimension of Ext1(rep1, rep2)")
+    p = sub.add_parser("ext1", parents=[output], help="dimension of Ext1(rep1, rep2)")
     p.add_argument("--rep1", required=True)
     p.add_argument("--rep2", required=True)
 
-    p = sub.add_parser("euler", parents=[common],
+    p = sub.add_parser("euler", parents=[output],
                        help="Euler form of two dimension vectors")
     p.add_argument("--quiver", required=True)
     p.add_argument("--d", required=True, help="first dimension vector, inline JSON")
     p.add_argument("--e", required=True, help="second dimension vector, inline JSON")
 
-    p = sub.add_parser("brick", parents=[common], help="is the module a brick")
+    p = sub.add_parser("brick", parents=[output], help="is the module a brick")
     p.add_argument("--rep", required=True)
 
-    p = sub.add_parser("grassmannian", parents=[common],
+    p = sub.add_parser("grassmannian", parents=[budget, count_only, output],
                        help="submodules of a fixed dimension vector")
     p.add_argument("mode", choices=("list", "count"))
     p.add_argument("--rep", required=True)
     p.add_argument("--dimvec", required=True, help="inline JSON object")
 
-    p = sub.add_parser("eta", parents=[common],
+    p = sub.add_parser("eta", parents=[output],
                        help="the extension-category construction")
     p.add_argument("mode", choices=("build",))
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--nrep", required=True)
 
-    p = sub.add_parser("check-c", parents=[common],
+    p = sub.add_parser("check-c", parents=[budget, count_only, output],
                        help="submodule condition on a built middle term")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--nrep", required=True)
 
-    p = sub.add_parser("check-lemma1", parents=[common],
+    p = sub.add_parser("check-lemma1", parents=[budget, count_only, output],
                        help="submodules of X^a with the dimension vector of X")
     p.add_argument("--x", required=True)
     p.add_argument("--a", type=int, required=True)
 
-    p = sub.add_parser("check-lemma2", parents=[common],
+    p = sub.add_parser("check-lemma2", parents=[budget, count_only, output],
                        help="square-dimension submodules of X^a")
     p.add_argument("--x", required=True)
     p.add_argument("--a", type=int, required=True)
 
-    p = sub.add_parser("bijection", parents=[common],
+    p = sub.add_parser("bijection", parents=[budget, output],
                        help="bristle count versus image submodule count")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--nrep", required=True)
 
-    p = sub.add_parser("demo", parents=[common],
+    p = sub.add_parser("demo", parents=[budget, count_only, output],
                        help="built-in instances of the constructions")
     p.add_argument("which", choices=("case2", "case1", "remark"))
     p.add_argument("--field", default="p=3", help="p=<prime> or rational")
@@ -235,12 +247,12 @@ def _cmd_grassmannian(args) -> int:
     from .grassmann import count_submodules, enumerate_submodules
     m = _load_representation(args.rep)
     d = _parse_dimvec(args.dimvec, m.quiver)
-    if args.mode == "count":
+    if args.mode == "list" and not args.count_only:
+        _emit(enumerate_submodules(m, d, budget=args.budget).to_json(), args.output)
+    else:
+        # a count charges what a list does, so a list without points is one
         count = count_submodules(m, d, budget=args.budget)
         _emit({"count": count, "dimvec": dict(sorted(d.items()))}, args.output)
-    else:
-        report = enumerate_submodules(m, d, budget=args.budget)
-        _emit(report.to_json(count_only=args.count_only), args.output)
     return 0
 
 
@@ -367,17 +379,13 @@ _HANDLERS = {
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; exit code 2 is reserved for
-        # failed checks, so fold usage problems into the input-error code
-        return 0 if exc.code == 0 else 1
-    try:
-        if args.budget < 1:
+        args = build_parser().parse_args(argv)
+        if "budget" in args and args.budget < 1:
             raise InputError(f"--budget must be at least 1, got {args.budget}")
         return _HANDLERS[args.command](args)
+    except SystemExit:
+        return 0  # --help; usage errors raise InputError instead of exiting
     except (InputError, ValueError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

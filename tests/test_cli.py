@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from quivergrass import cli
+from quivergrass import cli, grassmann
 from quivergrass.cli import main
 from quivergrass.construct import (
     case2_X,
@@ -274,6 +275,24 @@ def test_unknown_json_keys_are_rejected(capsys, tmp_path):
 def test_bad_flags(capsys, tmp_path):
     code, _, _ = run_cli(capsys, ["classify"])           # missing --quiver
     assert code == 1
+    rep = bristle_file(tmp_path)
+    quiver = write_json(tmp_path, "q.json", quiver_to_json(make_kronecker(2)))
+    x = write_json(tmp_path, "x.json", representation_to_json(case2_X((1, 2), F3)))
+    y = write_json(tmp_path, "y.json", representation_to_json(case2_Y(F3)))
+    pair = ["--x", x, "--y", y, "--nrep", rep]
+    for argv, flag in (
+            # flags a command does not read are refused, not ignored
+            (["classify", "--quiver", quiver, "--count-only"], "--count-only"),
+            (["hom", "--rep1", rep, "--rep2", rep, "--budget", "5"], "--budget"),
+            (["eta", "build", *pair, "--budget", "3"], "--budget"),
+            (["bijection", *pair, "--count-only"], "--count-only"),
+            # argparse's usage errors are one line too
+            (["hom", "--rep1", rep], "--rep2"),
+            (["brick", "--rep", rep, "--bogus"], "--bogus"),
+            (["check-lemma1", "--x", rep, "--a", "x"], "--a")):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1 and flag in err, err
     code, _, _ = run_cli(capsys, ["no-such-command"])
     assert code == 1
     for flag in ("--seed", "--jobs"):                    # removed options
@@ -311,8 +330,95 @@ def test_bad_flags(capsys, tmp_path):
         code, out, err = run_cli(capsys, ["demo", which, *argv])
         assert (code, out) == (1, "")
         assert err == f"error: {argv[0]} applies only to demo {case}, not {which}\n"
-    code, _, _ = run_cli(capsys, ["--help"])
-    assert code == 0
+    for argv in (["--help"], ["hom", "--help"]):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "") and out.startswith("usage: "), argv
+
+
+def _subcommands():
+    """Each subcommand's parser, by name, as `build_parser` declares them."""
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _settable(subparser):
+    return [a for a in subparser._actions if not isinstance(a, argparse._HelpAction)]
+
+
+def test_settable_value_count():
+    # every flag and positional of every subcommand, --help aside
+    assert sum(len(_settable(p)) for p in _subcommands().values()) == 54
+
+
+def _attributes_read(argv):
+    """The names a command's handler reads from its parsed arguments."""
+    read = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    args = cli.build_parser().parse_args(argv, namespace=Recorder())
+    handler = cli._HANDLERS[args.command]
+    read.clear()                                         # drop argparse's own reads
+    assert handler(args) in (0, 2), argv
+    return read
+
+
+def test_every_declared_flag_is_read(tmp_path):
+    rep = bristle_file(tmp_path)
+    quiver = write_json(tmp_path, "q.json", quiver_to_json(make_kronecker(2)))
+    x = write_json(tmp_path, "x.json", representation_to_json(case2_X((1, 2), F3)))
+    y = write_json(tmp_path, "y.json", representation_to_json(case2_Y(F3)))
+    n = write_json(tmp_path, "n.json", representation_to_json(coordinate_inclusion_N(F3, 2)))
+    dimvec = ["--dimvec", '{"1": 0, "2": 1}']
+    pair = ["--x", x, "--y", y, "--nrep", n]
+    runs = {
+        "classify": [["--quiver", quiver]],
+        "hom": [["--rep1", rep, "--rep2", rep]],
+        "ext1": [["--rep1", rep, "--rep2", rep]],
+        "euler": [["--quiver", quiver, "--d", '{"1": 1, "2": 0}', "--e", '{"1": 0, "2": 1}']],
+        "brick": [["--rep", rep]],
+        "grassmannian": [["count", "--rep", n, *dimvec], ["list", "--rep", n, *dimvec]],
+        "eta": [["build", *pair]],
+        "check-c": [pair],
+        "check-lemma1": [["--x", x, "--a", "1"]],
+        "check-lemma2": [["--x", x, "--a", "1"]],
+        "bijection": [pair],
+        "demo": [["case1"], ["remark"]],
+    }
+    subcommands = _subcommands()
+    assert set(runs) == set(subcommands)
+    for command, argvs in runs.items():
+        read = set().union(*(_attributes_read([command, *argv]) for argv in argvs))
+        declared = {a.dest for a in _settable(subcommands[command]) if a.option_strings}
+        assert declared <= read, (command, declared - read)
+
+
+def test_count_only_list_is_the_count(capsys, tmp_path, monkeypatch):
+    # a list without points is counted: no point is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("points enumerated for a count")
+    monkeypatch.setattr(grassmann, "enumerate_submodules", refuse)
+    ident = [[int(i == j) for j in range(5)] for i in range(5)]
+    k2 = write_json(tmp_path, "k2.json", representation_to_json(make_representation(
+        make_kronecker(2), F3, {"1": 5, "2": 5}, {"a1": ident, "a2": ident})))
+    n = write_json(tmp_path, "n.json", representation_to_json(coordinate_inclusion_N(F3, 2)))
+    zero = write_json(tmp_path, "zero.json", representation_to_json(make_representation(
+        make_kronecker(2), F3, {"1": 4, "2": 4}, {})))
+    results = set()
+    for rep, dimvec, flags in (
+            (k2, '{"1": 3, "2": 3}', ["--budget", "1219"]),   # eigenspace decomposition
+            (k2, '{"1": 3, "2": 3}', ["--budget", "1218"]),
+            (n, '{"1": 0, "2": 1}', ["--output", "text"]),    # the scan
+            (zero, '{"1": 2, "2": 2}', ["--budget", "5"])):
+        args = ["--rep", rep, "--dimvec", dimvec, *flags]
+        listed = run_cli(capsys, ["grassmannian", "list", *args, "--count-only"])
+        assert listed == run_cli(capsys, ["grassmannian", "count", *args])
+        results.add(listed[0])
+    assert results == {0, 1}
 
 
 def test_demo_field_flag(capsys):
@@ -416,8 +522,9 @@ def _mutate(data, rng):
 
 def test_mutated_json_inputs_end_in_an_exit_code(capsys, tmp_path):
     # seeded fuzz: one mutation of one input file per run, in-process, under
-    # a small budget; every run ends with exit 0, 1 or 2 and no traceback,
-    # and exit 1 prints exactly one error line
+    # a small budget where the command takes one; every run ends with exit
+    # 0, 1 or 2 and no traceback, and exit 1 prints exactly one error line
+    budget = ["--budget", "500"]
     docs = {"x": representation_to_json(case2_X((1, 2), F3)),
             "y": representation_to_json(case2_Y(F3)),
             "n": representation_to_json(coordinate_inclusion_N(F3, 2)),
@@ -425,12 +532,12 @@ def test_mutated_json_inputs_end_in_an_exit_code(capsys, tmp_path):
     commands = [
         ["brick", "--rep", "x"],
         ["hom", "--rep1", "x", "--rep2", "n"],
-        ["grassmannian", "count", "--rep", "x", "--dimvec", '{"1": 1, "2": 1}'],
-        ["grassmannian", "list", "--rep", "n", "--dimvec", '{"1": 1, "2": 1}'],
-        ["check-lemma1", "--x", "x", "--a", "2"],
-        ["check-lemma2", "--x", "x", "--a", "2"],
-        ["check-c", "--x", "x", "--y", "y", "--nrep", "n"],
-        ["bijection", "--x", "x", "--y", "y", "--nrep", "n"],
+        ["grassmannian", "count", "--rep", "x", "--dimvec", '{"1": 1, "2": 1}', *budget],
+        ["grassmannian", "list", "--rep", "n", "--dimvec", '{"1": 1, "2": 1}', *budget],
+        ["check-lemma1", "--x", "x", "--a", "2", *budget],
+        ["check-lemma2", "--x", "x", "--a", "2", *budget],
+        ["check-c", "--x", "x", "--y", "y", "--nrep", "n", *budget],
+        ["bijection", "--x", "x", "--y", "y", "--nrep", "n", *budget],
         ["classify", "--quiver", "q"],
     ]
     paths = {name: write_json(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
@@ -441,8 +548,9 @@ def test_mutated_json_inputs_end_in_an_exit_code(capsys, tmp_path):
         target = rng.choice([arg for arg in argv if arg in docs])
         mutated = write_json(tmp_path, "mutated.json", _mutate(docs[target], rng))
         args = [mutated if arg == target else paths.get(arg, arg) for arg in argv]
-        code, _, err = run_cli(capsys, args + ["--budget", "500"])
+        code, _, err = run_cli(capsys, args)
         assert code in (0, 1, 2), (case, argv, code)
+        assert "unrecognized arguments" not in err, (case, argv, err)
         if code == 1:
             assert err.startswith("error: ") and err.count("\n") == 1, (case, argv, err)
         else:
