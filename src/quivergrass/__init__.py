@@ -11,8 +11,8 @@ _EXPORTS = {name: module for module, names in (
     ("exactlinalg", "FieldSpec Matrix enumerate_subspaces gaussian_binomial inverse"
                     " kernel_basis kron row_space rref subspaces_containing"),
     ("quiverrep", "Arrow Morphism NotASubmodule Quiver Representation SubmodulePoint"
-                  " direct_sum dual change_of_basis injective make_kronecker"
-                  " make_representation projective quiver_from_json quiver_to_json"
+                  " direct_sum change_of_basis make_kronecker"
+                  " projective quiver_from_json quiver_to_json"
                   " rep_power representation_from_json"
                   " representation_to_json simple sub_representation"
                   " zero_representation BudgetExceeded DEFAULT_BUDGET"),

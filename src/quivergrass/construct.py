@@ -511,14 +511,18 @@ class BijectionReport(Record):
                 "equal": self.equal}
 
 
+def _bristle_count(n_rep: Representation, budget: int) -> int:
+    """|G_{(1,1)}(N)| for reduced N."""
+    if not is_reduced_kronecker(n_rep):
+        raise NotReduced("the Kronecker representation has a simple injective summand")
+    src, tgt, _ = kronecker_shape(n_rep.quiver)
+    return count_submodules(n_rep, {src: 1, tgt: 1}, budget=budget)
+
+
 def check_bijection(ctx: EtaContext, n_rep: Representation,
                     budget: int = DEFAULT_BUDGET) -> BijectionReport:
     """Compare |G_{(1,1)}(N)| with |G_{x+y}(eta N)| for reduced N."""
-    if not is_reduced_kronecker(n_rep):
-        raise NotReduced("the Kronecker representation has a simple injective summand")
-    shape = kronecker_shape(n_rep.quiver)
-    src, tgt, _ = shape
-    lhs = count_submodules(n_rep, {src: 1, tgt: 1}, budget=budget)
+    lhs = _bristle_count(n_rep, budget)
     witness = build_eta(ctx, n_rep)
     d = dim_add(ctx.xdim, ctx.ydim)
     rhs = count_submodules(witness.m, d, budget=budget)

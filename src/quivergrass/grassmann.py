@@ -13,12 +13,12 @@ paths is a generator of (weight, point) pairs, a point being a
   invertible arrow matrix A*, points correspond to the k-dimensional
   subspaces of the source space V invariant under all T_i = A*^{-1}A_i.
   The eigenline walk finds them when some set S of the T_i is split (V has
-  a full flag of S-invariant subspaces).  Each S-invariant subspace of
-  dimension j + 1 is W + l for an S-invariant W of dimension j and a common
-  eigenline l of S on V/W, whose character is one of the flag's.  So the
-  walk goes level by level from W = 0, with one kernel per (W, character),
-  as in the submodule lattice method of the MeatAxe (Lux, Mueller and Ringe,
-  1994), and keeps the last level's subspaces that the other T_i fix.  When
+  a full flag of S-invariant subspaces).  Over a submodule W each submodule
+  U > W holds W + l for a common eigenline l of S on U/W, whose character is
+  one of the flag's, so U contains spin(W + l), the smallest submodule
+  containing W + l.  So the walk goes from W = 0 by dimension, with one
+  kernel per (W, character) and one spin per line, as in the submodule
+  lattice method of the MeatAxe (Lux, Mueller and Ringe, 1994).  When
   2k > dim V it walks their annihilators in V* instead;
 
 * the eigenspace decomposition, when the full set of T_i is split and its
@@ -31,7 +31,7 @@ paths is a generator of (weight, point) pairs, a point being a
   canonical subspaces of the E_chi.
 
 The path is chosen by cost (see _choose_engine): the scan's first charge is
-compared with a lower bound on the walk's charges, and the eigenspace
+compared with the walk's cost bound, and the eigenspace
 decomposition, which charges no more than either, runs whenever its
 certificate holds.  A count multiplies by the number of choices at each sink
 instead of walking them, and builds no points of the walk or of the
@@ -83,10 +83,12 @@ class _Budget:
     The scan charges the number of candidate subspaces at a vertex when it
     reaches them.  The eigenline walk, its split certificates and its cost
     bound charge one unit per eigenspace kernel and one per candidate
-    (W, line).  The eigenspace decomposition charges, after the kernels of
-    the certificate, one kernel per character for the eigenspaces E_chi on V
-    and then the point count, once, before the first point; a count and a
-    list charge the same.
+    (W, line).  The spin of a candidate is part of its unit, and takes at
+    most (k + 1)*r row products for r operators and k levels.  The
+    eigenspace decomposition charges, after the kernels of the certificate,
+    one kernel per character for the eigenspaces E_chi on V and then the
+    point count, once, before the first point; a count and a list charge the
+    same.
     """
 
     def __init__(self, limit: int) -> None:
@@ -108,14 +110,12 @@ class GrassmannianReport(Record):
     count: int
     field: FieldSpec
 
-    def to_json(self, count_only: bool = False) -> dict:
-        data = {
+    def to_json(self) -> dict:
+        return {
             "dimvec": dict(sorted(self.dimvec.items())),
             "count": self.count,
+            "points": [point_to_json(pt) for pt in self.points],
         }
-        if not count_only:
-            data["points"] = [point_to_json(pt) for pt in self.points]
-        return data
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +196,39 @@ def _projective_lines(field: FieldSpec, n: int):
             yield (0,) * lead + (1,) + tail
 
 
+def _spin(field: FieldSpec, op_rows, w: tuple, pivots: list, line,
+          limit: int) -> Optional[tuple]:
+    """The canonical basis of spin(W + line), or None past limit dimensions.
+
+    spin(W + line) is the smallest subspace containing W + line that every
+    operator maps into itself; with no operators it is W + line.  W, with
+    canonical basis w and the given pivots, is invariant already, so only
+    line and the vectors added after it are mapped.  Each vector is reduced
+    modulo the rows so far, and a nonzero rest is inserted at its pivot.
+    """
+    rows = w
+    todo = [line]
+    for u in todo:
+        for c, row in zip(pivots, rows):
+            if u[c]:
+                u = field.add_scaled(u, -u[c], row)
+        lead = next((j for j, x in enumerate(u) if x), None)
+        if lead is None:
+            continue
+        if len(rows) == limit:
+            return None
+        if u[lead] != 1:
+            u = field.scale_row(field.inv(u[lead]), u)
+        rows = [tuple(field.add_scaled(row, -row[lead], u)) if row[lead] else row
+                for row in rows]
+        at = bisect(pivots, lead)
+        rows.insert(at, tuple(u))
+        pivots = pivots[:at] + [lead] + pivots[at:]
+        for op in op_rows:
+            todo.append(field.row_times(u, op))
+    return tuple(rows)
+
+
 class _Quotient:
     """Operators reduced modulo a subspace W.
 
@@ -236,19 +269,6 @@ class _Quotient:
                 for op, mu in zip(self.ops, chi) for t, q in zip(op, self.proj)]
         return kernel_basis(Matrix(self.field, rows + self.units, ncols=self.n,
                                    _trusted=True)).entries
-
-    def extend(self, line) -> tuple:
-        """The canonical basis of W + line.
-
-        line is zero at W's pivots and has a leading 1, as every row of
-        eigenspace() and every combination of them with a leading coefficient 1.
-        """
-        field = self.field
-        lead = next(j for j, x in enumerate(line) if x)
-        rows = [tuple(field.add_scaled(row, -row[lead], line)) if row[lead] else row
-                for row in self.w]
-        rows.insert(bisect(self.pivots, lead), tuple(line))
-        return tuple(rows)
 
 
 def _common_eigenline(quot: _Quotient, budget: _Budget, known: List[tuple]):
@@ -297,20 +317,8 @@ def _split_characters(field: FieldSpec, op_rows, n: int,
         chi, space = found
         if chi not in chars:
             chars.append(chi)
-        w = quot.extend(space[0])
+        w = _spin(field, [], w, quot.pivots, space[0], n)
     return chars
-
-
-def _fixes(field: FieldSpec, op_rows, w: tuple) -> bool:
-    """Whether every operator maps the subspace with canonical basis w into it."""
-    pivots = [next(j for j, x in enumerate(row) if x) for row in w]
-    for u in (field.row_times(v, op) for op in op_rows for v in w):
-        for c, row in zip(pivots, w):
-            if u[c]:
-                u = field.add_scaled(u, -u[c], row)
-        if any(u):
-            return False
-    return True
 
 
 class _Walk(NamedTuple):
@@ -319,7 +327,7 @@ class _Walk(NamedTuple):
     rest: list      # rows of the other operators, likewise
     chars: list     # the characters of a full S-invariant flag
     dual: bool      # whether the walked space is V*
-    bound: int      # the lower bound on the walk's charges
+    bound: int      # the cost bound of _cheapest_walk
     semisimple: bool  # S is the full set and its eigenspaces fill the space
 
 
@@ -333,12 +341,15 @@ def _cheapest_walk(m: Representation, d: DimVector, setup,
     min(k, dim V - k) levels: a subspace is invariant exactly when its
     annihilator is invariant under the transposes.
 
-    The bound c1*(1 + sum lines(e - 1)) holds when the walk has at least two
-    levels.  Here e is the dimension of the eigenspace over 0 of one
-    character, the sum runs over the characters, and c1 = sum lines(e) is the
-    number of level-one subspaces: over each of them the walk meets, for
-    every character, a kernel holding the eigenspace over 0 modulo a line,
-    hence at least lines(e - 1) candidates.
+    The bound c1*(1 + sum lines(e - 1)) is a lower bound on the charges of a
+    walk over the full set with at least two levels.  Here e is the
+    dimension of the eigenspace over 0 of one character, the sum runs over
+    the characters, and c1 = sum lines(e) is the number of invariant lines:
+    over each of them the walk meets, for every character, a kernel holding
+    the eigenspace over 0 modulo a line, hence at least lines(e - 1)
+    candidates.  With operators outside S the walk's states are submodules
+    only, fewer than the S-invariant subspaces the bound counts, so there the
+    bound is not a lower bound on its charges.
 
     The same dimensions certify that the full set is semisimple: its joint
     eigenspaces are independent, so they fill the space exactly when
@@ -371,23 +382,25 @@ def _cheapest_walk(m: Representation, d: DimVector, setup,
 def _eigenline_walk(m: Representation, d: DimVector, setup, walk: _Walk,
                     budget: _Budget, walk_sinks: bool = True
                     ) -> Iterator[Tuple[int, Point]]:
-    """(1, point) pairs of the level-by-level walk over a split space.
+    """(1, point) pairs of the walk over the submodules of a split space.
 
-    Level j holds the S-invariant j-dimensional subspaces.  Each W of a level
-    gives, for each character, one kernel, and each line of that kernel
-    modulo W a candidate W + l of the next level; the candidates are deduped
-    by canonical basis.  Every candidate is charged, before it is built.  The
-    last level keeps the subspaces that the operators outside S fix, and on
-    V* each is mapped to its annihilator.  Without walk_sinks the points are
+    The states are submodules, in buckets by dimension, taken in ascending
+    order; a bucket is freed once taken.  Each state W gives, for each
+    character, one kernel, and each line l of that kernel modulo W the state
+    spin(W + l), dropped past the level count (k on V, dim V - k on V*) and
+    deduped by canonical basis.  With no operator outside S, W + l is its own
+    spin.  Every candidate (W, l) is charged, before it is built.  On V* each
+    point is mapped to its annihilator.  Without walk_sinks the points are
     left empty: a count needs only the weights.
     """
     src, tgt, pivot, _ = setup
     field = m.field
     n = m.dims[src]
-    level = [()]
-    for _ in range(n - d[src] if walk.dual else d[src]):
-        nxt: Dict[tuple, None] = {}
-        for w in level:
+    top = n - d[src] if walk.dual else d[src]
+    spin_ops = walk.ops + walk.rest if walk.rest else []
+    buckets: Dict[int, Dict[tuple, None]] = {0: {(): None}}
+    for j in range(top):
+        for w in buckets.pop(j, ()):
             quot = _Quotient(field, walk.ops, w, n)
             for chi in walk.chars:
                 basis = quot.eigenspace(chi, budget)
@@ -397,11 +410,10 @@ def _eigenline_walk(m: Representation, d: DimVector, setup, walk: _Walk,
                     for c, row in zip(coeffs, basis):
                         if c:
                             line = field.add_scaled(line, c, row)
-                    nxt[quot.extend(line)] = None
-        level = list(nxt)
-    for w in level:
-        if not _fixes(field, walk.rest, w):
-            continue
+                    u = _spin(field, spin_ops, w, quot.pivots, line, top)
+                    if u is not None:
+                        buckets.setdefault(len(u), {})[u] = None
+    for w in buckets.get(top, ()):
         if not walk_sinks:
             yield 1, {}
             continue

@@ -12,7 +12,7 @@ of matrices.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .exactlinalg import (
     FieldSpec,
@@ -89,21 +89,11 @@ class Quiver(Record):
     def __hash__(self) -> int:
         return hash((self.vertices, self.arrows))
 
-    def arrow(self, arrow_id: str) -> Arrow:
-        for a in self.arrows:
-            if a.id == arrow_id:
-                return a
-        raise KeyError(arrow_id)
-
     def arrows_into(self, v: str) -> List[Arrow]:
         return [a for a in self.arrows if a.target == v]
 
     def arrows_out_of(self, v: str) -> List[Arrow]:
         return [a for a in self.arrows if a.source == v]
-
-    def sources(self) -> List[str]:
-        has_in = {a.target for a in self.arrows}
-        return [v for v in self.vertices if v not in has_in]
 
     def sinks(self) -> List[str]:
         has_out = {a.source for a in self.arrows}
@@ -151,32 +141,14 @@ class Quiver(Record):
                     stack.append(w)
         return len(seen) == len(self.vertices)
 
-    def opposite(self) -> "Quiver":
-        return Quiver(self.vertices, tuple(Arrow(a.id, a.target, a.source) for a in self.arrows))
-
-    def subquiver(self, vertices: Optional[Iterable[str]] = None,
-                  arrows: Optional[Iterable[str]] = None) -> "Quiver":
-        """Full or arrow-restricted subquiver.
-
-        With vertices given, keeps those vertices and (by default) every arrow
-        between them.  With arrows given, keeps exactly those arrow ids; their
-        endpoints must survive.
-        """
-        keep_v = tuple(vertices) if vertices is not None else self.vertices
+    def subquiver(self, vertices: Iterable[str]) -> "Quiver":
+        """The full subquiver on the given vertices: every arrow between them."""
+        keep_v = tuple(vertices)
         keep_vset = set(keep_v)
         if not keep_vset <= set(self.vertices):
             raise ValueError("unknown vertices in subquiver")
-        if arrows is None:
-            keep_a = tuple(a for a in self.arrows
-                           if a.source in keep_vset and a.target in keep_vset)
-        else:
-            wanted = list(arrows)
-            index = {a.id: a for a in self.arrows}
-            keep_a = tuple(index[i] for i in wanted)
-            for a in keep_a:
-                if a.source not in keep_vset or a.target not in keep_vset:
-                    raise ValueError(f"arrow {a.id} leaves the chosen vertex set")
-        return Quiver(keep_v, keep_a)
+        return Quiver(keep_v, tuple(a for a in self.arrows
+                                    if a.source in keep_vset and a.target in keep_vset))
 
     def edge_multiplicities(self) -> Dict[frozenset, int]:
         """Undirected edge multiset of the underlying graph."""
@@ -258,18 +230,6 @@ class Representation(Record):
         return self.total_dim == 0
 
 
-def make_representation(q: Quiver, field: FieldSpec, dims: DimVector,
-                        matrices: Dict[str, Sequence[Sequence]]) -> Representation:
-    """Build a representation from plain nested lists."""
-    mats = {}
-    for a in q.arrows:
-        data = matrices.get(a.id)
-        if data is None:
-            data = [[0] * dims[a.source] for _ in range(dims[a.target])]
-        mats[a.id] = Matrix(field, data, ncols=dims[a.source])
-    return Representation(q, field, dict(dims), mats)
-
-
 def zero_representation(q: Quiver, field: FieldSpec) -> Representation:
     dims = {v: 0 for v in q.vertices}
     mats = {a.id: Matrix.zeros(field, 0, 0) for a in q.arrows}
@@ -314,11 +274,6 @@ def projective(q: Quiver, v: str, field: FieldSpec) -> Representation:
     return Representation(q, field, dims, mats)
 
 
-def injective(q: Quiver, v: str, field: FieldSpec) -> Representation:
-    """Indecomposable injective I(v), built as the dual of a projective."""
-    return dual(projective(q.opposite(), v, field))
-
-
 def direct_sum(m1: Representation, m2: Representation) -> Representation:
     if m1.quiver != m2.quiver or m1.field != m2.field:
         raise ValueError("direct sum needs the same quiver and field")
@@ -335,12 +290,6 @@ def rep_power(m: Representation, a: int) -> Representation:
     for _ in range(a):
         out = direct_sum(out, m)
     return out
-
-
-def dual(m: Representation) -> Representation:
-    """Dual representation on the opposite quiver (transposed matrices)."""
-    mats = {a.id: m.matrices[a.id].transpose() for a in m.quiver.arrows}
-    return Representation(m.quiver.opposite(), m.field, dict(m.dims), mats)
 
 
 class Morphism(Record):
@@ -421,10 +370,6 @@ class SubmodulePoint(Record):
     @property
     def dim_vector(self) -> DimVector:
         return {v: s.nrows for v, s in self.subspaces.items()}
-
-    def is_stable(self) -> bool:
-        """True when every arrow maps the source subspace into the target one."""
-        return self._restricted_arrows() is not None
 
     def _restricted_arrows(self) -> Optional[Dict[str, Matrix]]:
         """Each arrow's matrix on the chosen bases, or None if one leaves them.

@@ -25,10 +25,6 @@ class ClassificationResult(Record):
     kind: str                 # "finite" | "tame" | "wild"
     witness: Optional[str]    # Dynkin / extended Dynkin label when not wild
 
-    @property
-    def is_representation_infinite(self) -> bool:
-        return self.kind in ("tame", "wild")
-
 
 def _underlying(q: Quiver):
     """(adjacency sets, edge multiplicities) of the underlying multigraph."""

@@ -5,8 +5,11 @@ counts with Gaussian binomials and test single points by one Hom dimension,
 it never needs an isomorphism or splitting test, its kernels reduce entries
 through FieldSpec's row primitives, and it reads submodule coordinates off
 canonical bases instead of solving.  The quotient and image constructions,
-the random representation generator, the exceptional-module test and the
-removable-vertex search are used by tests alone, so they live here too.
+the random representation generator, the exceptional-module test, the
+removable-vertex search, representations from nested lists, sources,
+opposite quivers, duals and injectives, the stability test of a point and
+the representation-infinite test are used by tests alone, so they live
+here too.
 `symmetric_inertia`, a congruence reduction over Q for any symmetric
 matrix, is the reference for `reptype.tits_definiteness`.
 """
@@ -17,12 +20,57 @@ from itertools import product
 from typing import List, Optional, Tuple
 
 from quivergrass.exactlinalg import (
-    FieldSpec, Matrix, _rref_rows, hstack, pivot_columns, row_space)
+    FieldSpec, Matrix, _rref_rows, gaussian_binomial, hstack, kernel_basis,
+    pivot_columns, row_space)
+from quivergrass.grassmann import _projective_lines, _Quotient, _spin
 from quivergrass.homext import (
     _check_pair, _differential, hom_basis, hom_ext_dims, is_brick)
 from quivergrass.quiverrep import (
-    Morphism, NotASubmodule, Quiver, Representation, SubmodulePoint)
+    Arrow, Morphism, NotASubmodule, Quiver, Representation, SubmodulePoint, projective)
 from quivergrass.reptype import classify
+
+
+def make_representation(q, field, dims, matrices):
+    """A representation from plain nested lists; a missing arrow is zero."""
+    mats = {}
+    for a in q.arrows:
+        data = matrices.get(a.id)
+        if data is None:
+            data = [[0] * dims[a.source] for _ in range(dims[a.target])]
+        mats[a.id] = Matrix(field, data, ncols=dims[a.source])
+    return Representation(q, field, dict(dims), mats)
+
+
+def sources(q: Quiver) -> List[str]:
+    """The vertices no arrow points into, in vertex order."""
+    has_in = {a.target for a in q.arrows}
+    return [v for v in q.vertices if v not in has_in]
+
+
+def opposite(q: Quiver) -> Quiver:
+    """The quiver with every arrow reversed."""
+    return Quiver(q.vertices, tuple(Arrow(a.id, a.target, a.source) for a in q.arrows))
+
+
+def dual(m: Representation) -> Representation:
+    """Dual representation on the opposite quiver (transposed matrices)."""
+    mats = {a.id: m.matrices[a.id].transpose() for a in m.quiver.arrows}
+    return Representation(opposite(m.quiver), m.field, dict(m.dims), mats)
+
+
+def injective(q: Quiver, v: str, field: FieldSpec) -> Representation:
+    """Indecomposable injective I(v), built as the dual of a projective."""
+    return dual(projective(opposite(q), v, field))
+
+
+def is_stable(pt: SubmodulePoint) -> bool:
+    """True when every arrow maps the source subspace into the target one."""
+    return pt._restricted_arrows() is not None
+
+
+def is_representation_infinite(q: Quiver) -> bool:
+    """Tame or wild: infinitely many indecomposables up to isomorphism."""
+    return classify(q).kind != "finite"
 
 
 def solve(a: Matrix, b) -> Optional[tuple]:
@@ -234,7 +282,7 @@ def quotient_representation(pt: SubmodulePoint):
     parent = pt.parent
     q = parent.quiver
     field = parent.field
-    if not pt.is_stable():
+    if not is_stable(pt):
         raise NotASubmodule("subspaces are not stable under the arrow maps")
     minus_one = field.coerce(-1)
     proj_maps = {}
@@ -326,13 +374,13 @@ def find_removable_extremal_vertex(q: Quiver) -> Tuple[str, Quiver]:
         raise NotApplicable("quiver is not connected")
     if classify(q).kind != "wild":
         raise NotApplicable("quiver is not wild")
-    extremal = sorted(set(q.sinks()) | set(q.sources()))
+    extremal = sorted(set(q.sinks()) | set(sources(q)))
     for omega in extremal:
         rest = [v for v in q.vertices if v != omega]
         sub = q.subquiver(rest)
         if not sub.is_connected():
             continue
-        if classify(sub).is_representation_infinite:
+        if is_representation_infinite(sub):
             return omega, sub
     raise NoRemovableVertex(
         "no sink or source can be deleted while keeping the rest connected "
@@ -388,3 +436,55 @@ def symmetric_inertia(rows: List[List[int]]) -> Tuple[int, int, int]:
             for v in active:
                 m[u][v] -= (m[i][u] * m[j][v] + m[j][u] * m[i][v]) / s
     return pos, neg, zero
+
+
+def _fixes(field, op_rows, w):
+    """Whether every operator maps the subspace with canonical basis w into it."""
+    pivots = [next(j for j, x in enumerate(row) if x) for row in w]
+    for u in (field.row_times(v, op) for op in op_rows for v in w):
+        for c, row in zip(pivots, w):
+            if u[c]:
+                u = field.add_scaled(u, -u[c], row)
+        if any(u):
+            return False
+    return True
+
+
+def filter_walk(m, d, setup, walk, budget, walk_sinks=True):
+    """(1, point) pairs of the eigenline walk without spins, then a filter.
+
+    Level j holds every j-dimensional subspace that the operator set S of
+    the walk fixes: each W of a level gives, for each character, one kernel,
+    and each line of it modulo W a candidate W + l of the next level, deduped
+    by canonical basis and charged like the walk's.  The last level keeps
+    the subspaces that the operators outside S fix too; on V* each is mapped
+    to its annihilator.
+    """
+    src, tgt, pivot, _ = setup
+    field = m.field
+    n = m.dims[src]
+    level = [()]
+    for _ in range(n - d[src] if walk.dual else d[src]):
+        nxt = {}
+        for w in level:
+            quot = _Quotient(field, walk.ops, w, n)
+            for chi in walk.chars:
+                basis = quot.eigenspace(chi, budget)
+                budget.charge(gaussian_binomial(len(basis), 1, field.p))
+                for coeffs in _projective_lines(field, len(basis)):
+                    line = [0] * n
+                    for c, row in zip(coeffs, basis):
+                        if c:
+                            line = field.add_scaled(line, c, row)
+                    nxt[_spin(field, [], w, quot.pivots, line, n)] = None
+        level = list(nxt)
+    for w in level:
+        if not _fixes(field, walk.rest, w):
+            continue
+        if not walk_sinks:
+            yield 1, {}
+            continue
+        s1 = Matrix(field, w, ncols=n, _trusted=True)
+        if walk.dual:
+            s1 = kernel_basis(s1)
+        yield 1, {src: s1, tgt: row_space(s1 * m.matrices[pivot].transpose())}

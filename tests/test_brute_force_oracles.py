@@ -41,7 +41,6 @@ from quivergrass.quiverrep import (
     dim_add,
     direct_sum,
     make_kronecker,
-    make_representation,
     random_invertible,
     rep_power,
     sub_representation,
@@ -51,6 +50,7 @@ from oracles import (
     image_point,
     is_brick_power,
     is_isomorphic,
+    make_representation,
     projective_coefficients,
     quotient_representation,
 )

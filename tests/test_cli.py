@@ -17,12 +17,9 @@ from quivergrass.construct import (
     remark_Xprime,
 )
 from quivergrass.exactlinalg import FieldSpec
-from quivergrass.quiverrep import (
-    make_kronecker,
-    make_representation,
-    quiver_to_json,
-    representation_to_json,
-)
+from quivergrass.quiverrep import make_kronecker, quiver_to_json, representation_to_json
+
+from oracles import make_representation
 
 F3 = FieldSpec.prime(3)
 
@@ -289,7 +286,13 @@ def test_bad_flags(capsys, tmp_path):
             # argparse's usage errors are one line too
             (["hom", "--rep1", rep], "--rep2"),
             (["brick", "--rep", rep, "--bogus"], "--bogus"),
-            (["check-lemma1", "--x", rep, "--a", "x"], "--a")):
+            (["check-lemma1", "--x", rep, "--a", "x"], "--a"),
+            # a prefix of a flag is not the flag
+            (["demo", "case2", "--count"], "--count"),
+            (["demo", "case2", "--bud", "10"], "--bud"),
+            (["demo", "case2", "--out", "text"], "--out"),
+            (["demo", "case2", "--l", "1,2"], "--l"),
+            (["demo", "case2", "--f", "p=3"], "--f")):
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1 and flag in err, err

@@ -44,12 +44,13 @@ from quivergrass.homext import (
 from quivergrass.quiverrep import (
     direct_sum,
     make_kronecker,
-    make_representation,
     rep_power,
     simple,
 )
 
-from oracles import is_brick_power, is_exceptional, is_isomorphic, random_representation
+from oracles import (
+    is_brick_power, is_exceptional, is_isomorphic, make_representation,
+    random_representation)
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)

@@ -43,7 +43,6 @@ from quivergrass.quiverrep import (
     change_of_basis,
     direct_sum,
     make_kronecker,
-    make_representation,
     projective,
     random_invertible,
     simple,
@@ -51,7 +50,9 @@ from quivergrass.quiverrep import (
     zero_representation,
 )
 
-from oracles import quotient_representation, random_representation, solve_sub_representation
+from oracles import (
+    filter_walk, is_stable, make_representation, quotient_representation,
+    random_representation, solve_sub_representation)
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -69,7 +70,7 @@ def flat_points(m, d):
     found = []
     for combo in itertools.product(*per_vertex):
         pt = SubmodulePoint(m, dict(zip(verts, combo)))
-        if pt.is_stable():
+        if is_stable(pt):
             found.append(pt)
     found.sort(key=lambda pt: pt.canonical_key())
     return found
@@ -216,14 +217,16 @@ def auto_engine(m, d):
     return _choose_engine(m, d, _invariant_setup(m, d), _Budget(DEFAULT_BUDGET))
 
 
-ENGINES = ("scan", "eigenline", "eigenspace")
+ENGINES = ("scan", "eigenline", "filter", "eigenspace")
 
 
 def engine_pairs(m, d, engine, walk_sinks=True):
     """The (weight, point) pairs of one engine, run whatever it costs.
 
-    None for the eigenline walk when no operator set is split, and for the
-    eigenspace decomposition when the full set is not semisimple.
+    "filter" is the oracle that walks every subspace the walk's operator
+    set fixes and then filters.  None for it and for the eigenline walk when
+    no operator set is split, and for the eigenspace decomposition when the
+    full set is not semisimple.
     """
     budget = _Budget(DEFAULT_BUDGET)
     if engine == "scan":
@@ -232,7 +235,8 @@ def engine_pairs(m, d, engine, walk_sinks=True):
     walk = _cheapest_walk(m, d, setup, budget)
     if walk is None or engine == "eigenspace" and not walk.semisimple:
         return None
-    run = _eigenspace_sums if engine == "eigenspace" else _eigenline_walk
+    run = {"eigenline": _eigenline_walk, "filter": filter_walk,
+           "eigenspace": _eigenspace_sums}[engine]
     return list(run(m, d, setup, walk, budget, walk_sinks))
 
 
@@ -333,14 +337,15 @@ def _has_full_flag(m, sources):
 
 def test_eigenline_walk_matches_oracles():
     # seeded differential test over F_2, F_3, F_5 and F_7: on every module
-    # and every k the eigenline walk and the scan give the flat oracle's
-    # points, and the certificate of the full operator set says split
-    # exactly when the flat points hold a full invariant flag.  Each of the
-    # three outcomes occurs: the full set is split; only single operators
-    # are, so the walk keeps the points the other operators fix; nothing is
-    # split, so only the scan applies.
+    # and every k the eigenline walk, the filter walk and the scan give the
+    # flat oracle's points, and the certificate of the full operator set says
+    # split exactly when the flat points hold a full invariant flag.  Each of
+    # the three outcomes occurs: the full set is split; only single operators
+    # are, so the walk spins its lines under the other operators, on V and
+    # on V*; nothing is split, so only the scan applies.
     rng = random.Random(83)
     seen = set()
+    spun = set()
     for triangular, m in _flag_modules(rng):
         m = _rebased(m, rng)
         n = m.dims["1"]
@@ -357,12 +362,15 @@ def test_eigenline_walk_matches_oracles():
             walk = _cheapest_walk(m, d, _invariant_setup(m, d), _Budget(DEFAULT_BUDGET))
             assert walked == (walk is not None)
             outcomes.add("scan" if walk is None else "subset" if walk.rest else "full")
+            if walk is not None and walk.rest and 0 < k < n:
+                spun.add(walk.dual)
         assert split == _has_full_flag(m, sources), m
         assert len(outcomes) == 1 and (outcomes == {"full"}) == split, m
         if triangular:
             assert split, m
         seen |= outcomes
     assert seen == {"full", "subset", "scan"}
+    assert spun == {False, True}
 
 
 def _semisimple_modules(rng):
@@ -486,12 +494,12 @@ def test_sub_representation_matches_solve_oracle():
                 try:
                     want_sub, want_incl = solve_sub_representation(pt)
                 except NotASubmodule:
-                    assert not pt.is_stable()
+                    assert not is_stable(pt)
                     for construct in (sub_representation, quotient_representation):
                         with pytest.raises(NotASubmodule):
                             construct(pt)
                     continue
-                assert pt.is_stable()
+                assert is_stable(pt)
                 sub, incl = sub_representation(pt)
                 assert sub == want_sub and incl.maps == want_incl.maps
 
@@ -506,8 +514,8 @@ def test_automatic_engine_choice_on_baseline_instances():
     # the remark witnesses are split with three characters but not
     # semisimple, and the eigenline walk runs over both operators.  The
     # bijection's case-2 module is not split, but one of its operators is, so
-    # the walk runs on V* (2k > n) over that one and keeps the points the
-    # other fixes.  On the degenerate K(2) module every subspace is
+    # the walk runs on V* (2k > n) over that one and spins its lines under
+    # the other.  On the degenerate K(2) module every subspace is
     # invariant: split with one character whose eigenspace is all of V, so
     # the eigenspace decomposition runs, although the walk's bound passes G.
     d = {"1": 3, "2": 3}
@@ -535,6 +543,23 @@ def test_automatic_engine_choice_on_baseline_instances():
     assert walk.semisimple and walk.bound > gaussian_binomial(5, 3, 3)
     setup = _invariant_setup(degenerate, d)
     assert _split_characters(F3, setup[3], 5, _Budget(DEFAULT_BUDGET)) == [(1,)]
+
+
+def test_spin_walk_budget_on_the_case2_witness():
+    # the (4,4) points of the `demo case2 --field p=5 --n 3` witness: none.
+    # The walk runs over one operator on V and spins each line under the
+    # other, so the count passes 1000 units; walking every subspace that
+    # one operator fixes and then filtering needs more than 1000
+    m = build_eta(case2_instance(F5, n=3), coordinate_inclusion_N(F5, 3)).m
+    d = {"1": 4, "2": 4}
+    assert count_submodules(m, d, budget=1000) == 0
+    assert enumerate_submodules(m, d, budget=1000).count == 0
+    budget = _Budget(1000)
+    setup = _invariant_setup(m, d)
+    walk = _choose_engine(m, d, setup, budget)
+    assert walk.rest and not walk.dual
+    with pytest.raises(BudgetExceeded):
+        list(filter_walk(m, d, setup, walk, budget, walk_sinks=False))
 
 
 def test_invariant_strategy_rejected_when_inapplicable():
@@ -573,6 +598,3 @@ def test_report_json_shape():
     data = report.to_json()
     assert data["count"] == 4
     assert len(data["points"]) == 4
-    only_count = report.to_json(count_only=True)
-    assert "points" not in only_count
-    assert only_count["count"] == 4

@@ -21,7 +21,6 @@ from quivergrass.quiverrep import (
     change_of_basis,
     direct_sum,
     make_kronecker,
-    make_representation,
     projective,
     random_invertible,
     rep_power,
@@ -29,7 +28,8 @@ from quivergrass.quiverrep import (
     zero_representation,
 )
 
-from oracles import cocycle_is_coboundary, is_exceptional, random_representation
+from oracles import (
+    cocycle_is_coboundary, is_exceptional, make_representation, random_representation)
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)

@@ -17,12 +17,12 @@ EXPORTS = {
     "case1_instance", "case1_pair", "case1_quiver", "case2_X", "case2_Y",
     "case2_instance", "change_of_basis", "check_bijection", "check_condition_C",
     "check_eta_fullness", "check_lemma1", "check_lemma2", "classify",
-    "coordinate_inclusion_N", "count_submodules", "direct_sum", "dual",
+    "coordinate_inclusion_N", "count_submodules", "direct_sum",
     "enumerate_submodules", "enumerate_subspaces", "euler_form", "ext1",
     "gaussian_binomial", "has_brick_summand", "hom_basis", "hom_ext_dims",
-    "injective", "inverse", "is_E_bristle", "is_brick", "is_reduced_kronecker",
+    "inverse", "is_E_bristle", "is_brick", "is_reduced_kronecker",
     "kernel_basis", "kron", "kronecker_preprojective", "make_eta_context",
-    "make_kronecker", "make_representation", "preinjective_N", "projective",
+    "make_kronecker", "preinjective_N", "projective",
     "quiver_from_json", "quiver_to_json", "regular_N", "remark_N", "remark_Xprime",
     "remark_counterexample_demo", "rep_power", "representation_from_json",
     "representation_to_json", "row_space", "rref", "simple", "sub_representation",
@@ -53,5 +53,6 @@ def test_unknown_name_raises_attribute_error():
         quivergrass.no_such_name
     # names that only tests use live in tests/oracles.py
     for name in ("is_brick_power", "solve", "quotient_representation",
-                 "is_exceptional", "bristle_points", "find_removable_extremal_vertex"):
+                 "is_exceptional", "bristle_points", "find_removable_extremal_vertex",
+                 "make_representation", "dual", "injective"):
         assert not hasattr(quivergrass, name), name
