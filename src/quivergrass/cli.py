@@ -51,14 +51,10 @@ def _load_json_file(path: str):
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"JSON error in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    return _parse_json(text, path)
 
 
-def _parse_inline_json(text: str, what: str):
+def _parse_json(text: str, what: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -75,7 +71,7 @@ def _load_quiver(path: str):
 
 
 def _parse_dimvec(text: str, quiver):
-    data = _parse_inline_json(text, "dimension vector")
+    data = _parse_json(text, "dimension vector")
     return dimvec_from_json(quiver, data, "dimension vector")
 
 
@@ -132,6 +128,21 @@ def build_parser() -> argparse.ArgumentParser:
                             help="omit point lists from reports")
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output", choices=("json", "text"), default="json")
+    # the input files; a subparser lists its parents' arguments first, in
+    # parents order, so these come last and eta's mode comes before its pair,
+    # which keeps the order of --help and of "required" errors
+    reps = argparse.ArgumentParser(add_help=False)
+    reps.add_argument("--rep1", required=True)
+    reps.add_argument("--rep2", required=True)
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--x", required=True)
+    pair.add_argument("--y", required=True)
+    pair.add_argument("--nrep", required=True)
+    power = argparse.ArgumentParser(add_help=False)
+    power.add_argument("--x", required=True)
+    power.add_argument("--a", type=int, required=True)
+    build = argparse.ArgumentParser(add_help=False)
+    build.add_argument("mode", choices=("build",))
 
     parser = _Parser(
         prog="quivergrass",
@@ -142,13 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="representation type of a quiver")
     p.add_argument("--quiver", required=True)
 
-    p = sub.add_parser("hom", parents=[output], help="dimension of Hom(rep1, rep2)")
-    p.add_argument("--rep1", required=True)
-    p.add_argument("--rep2", required=True)
-
-    p = sub.add_parser("ext1", parents=[output], help="dimension of Ext1(rep1, rep2)")
-    p.add_argument("--rep1", required=True)
-    p.add_argument("--rep2", required=True)
+    sub.add_parser("hom", parents=[output, reps], help="dimension of Hom(rep1, rep2)")
+    sub.add_parser("ext1", parents=[output, reps], help="dimension of Ext1(rep1, rep2)")
 
     p = sub.add_parser("euler", parents=[output],
                        help="Euler form of two dimension vectors")
@@ -165,34 +171,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", required=True)
     p.add_argument("--dimvec", required=True, help="inline JSON object")
 
-    p = sub.add_parser("eta", parents=[output],
-                       help="the extension-category construction")
-    p.add_argument("mode", choices=("build",))
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--nrep", required=True)
-
-    p = sub.add_parser("check-c", parents=[budget, count_only, output],
-                       help="submodule condition on a built middle term")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--nrep", required=True)
-
-    p = sub.add_parser("check-lemma1", parents=[budget, count_only, output],
-                       help="submodules of X^a with the dimension vector of X")
-    p.add_argument("--x", required=True)
-    p.add_argument("--a", type=int, required=True)
-
-    p = sub.add_parser("check-lemma2", parents=[budget, count_only, output],
-                       help="square-dimension submodules of X^a")
-    p.add_argument("--x", required=True)
-    p.add_argument("--a", type=int, required=True)
-
-    p = sub.add_parser("bijection", parents=[budget, output],
-                       help="bristle count versus image submodule count")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--nrep", required=True)
+    sub.add_parser("eta", parents=[output, build, pair],
+                   help="the extension-category construction")
+    sub.add_parser("check-c", parents=[budget, count_only, output, pair],
+                   help="submodule condition on a built middle term")
+    sub.add_parser("check-lemma1", parents=[budget, count_only, output, power],
+                   help="submodules of X^a with the dimension vector of X")
+    sub.add_parser("check-lemma2", parents=[budget, count_only, output, power],
+                   help="square-dimension submodules of X^a")
+    sub.add_parser("bijection", parents=[budget, output, pair],
+                   help="bristle count versus image submodule count")
 
     p = sub.add_parser("demo", parents=[budget, count_only, output],
                        help="built-in instances of the constructions")
@@ -215,19 +203,11 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_hom(args) -> int:
+def _cmd_hom_ext1(args) -> int:
     from .homext import hom_ext_dims
     m1 = _load_representation(args.rep1)
     m2 = _load_representation(args.rep2)
-    _emit({"dim": hom_ext_dims(m1, m2)[0]}, args.output)
-    return 0
-
-
-def _cmd_ext1(args) -> int:
-    from .homext import hom_ext_dims
-    m1 = _load_representation(args.rep1)
-    m2 = _load_representation(args.rep2)
-    _emit({"dim": hom_ext_dims(m1, m2)[1]}, args.output)
+    _emit({"dim": hom_ext_dims(m1, m2)[args.command == "ext1"]}, args.output)
     return 0
 
 
@@ -260,18 +240,18 @@ def _cmd_grassmannian(args) -> int:
     return 0
 
 
-def _context_from_files(args):
+def _pair_from_files(args):
+    """(context, N) from --x, --y and --nrep, read in that order."""
     from .construct import make_eta_context
     x = _load_representation(args.x)
     y = _load_representation(args.y)
-    return make_eta_context(x, y)
+    ctx = make_eta_context(x, y)
+    return ctx, _load_representation(args.nrep)
 
 
 def _cmd_eta(args) -> int:
     from .construct import build_eta
-    ctx = _context_from_files(args)
-    n_rep = _load_representation(args.nrep)
-    witness = build_eta(ctx, n_rep)
+    witness = build_eta(*_pair_from_files(args))
     _emit({"a": witness.a, "b": witness.b,
            "m": representation_to_json(witness.m)}, args.output)
     return 0
@@ -279,39 +259,27 @@ def _cmd_eta(args) -> int:
 
 def _cmd_check_c(args) -> int:
     from .construct import build_eta, check_condition_C
-    ctx = _context_from_files(args)
-    n_rep = _load_representation(args.nrep)
+    ctx, n_rep = _pair_from_files(args)
     witness = build_eta(ctx, n_rep)
     report = check_condition_C(ctx, witness, budget=args.budget)
     _emit(report.to_json(count_only=args.count_only), args.output)
     return 0 if report.holds else 2
 
 
-def _cmd_check_lemma1(args) -> int:
-    from .construct import check_lemma1
+def _cmd_check_lemma(args) -> int:
+    from .construct import check_lemma1, check_lemma2
     if args.a < 1:
         raise InputError(f"--a must be at least 1, got {args.a}")
     x = _load_representation(args.x)
-    report = check_lemma1(x, args.a, budget=args.budget)
-    _emit(report.to_json(count_only=args.count_only), args.output)
-    return 0 if report.holds else 2
-
-
-def _cmd_check_lemma2(args) -> int:
-    from .construct import check_lemma2
-    if args.a < 1:
-        raise InputError(f"--a must be at least 1, got {args.a}")
-    x = _load_representation(args.x)
-    report = check_lemma2(x, args.a, budget=args.budget)
+    check = check_lemma1 if args.command == "check-lemma1" else check_lemma2
+    report = check(x, args.a, budget=args.budget)
     _emit(report.to_json(count_only=args.count_only), args.output)
     return 0 if report.holds else 2
 
 
 def _cmd_bijection(args) -> int:
     from .construct import check_bijection
-    ctx = _context_from_files(args)
-    n_rep = _load_representation(args.nrep)
-    report = check_bijection(ctx, n_rep, budget=args.budget)
+    report = check_bijection(*_pair_from_files(args), budget=args.budget)
     _emit(report.to_json(), args.output)
     return 0 if report.equal else 2
 
@@ -370,15 +338,15 @@ def _cmd_demo(args) -> int:
 
 _HANDLERS = {
     "classify": _cmd_classify,
-    "hom": _cmd_hom,
-    "ext1": _cmd_ext1,
+    "hom": _cmd_hom_ext1,
+    "ext1": _cmd_hom_ext1,
     "euler": _cmd_euler,
     "brick": _cmd_brick,
     "grassmannian": _cmd_grassmannian,
     "eta": _cmd_eta,
     "check-c": _cmd_check_c,
-    "check-lemma1": _cmd_check_lemma1,
-    "check-lemma2": _cmd_check_lemma2,
+    "check-lemma1": _cmd_check_lemma,
+    "check-lemma2": _cmd_check_lemma,
     "bijection": _cmd_bijection,
     "demo": _cmd_demo,
 }

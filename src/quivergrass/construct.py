@@ -638,12 +638,10 @@ def remark_counterexample_demo(field: FieldSpec, b: int = 1,
     n_rep = remark_N(field, b)
     witness = build_eta(ctx, n_rep)
     point = _x_plus_v_point(ctx, witness)
-    sub, _ = sub_representation(point)
-    point_is_bristle = is_E_bristle(ctx, sub)
     report = check_condition_C(ctx, witness, budget=budget)
+    # the violations are the enumerated points that are not E-bristles
     is_violation = point in report.violations
-    found = (not point_is_bristle) and is_violation and not report.holds
-    return RemarkReport(report, point, is_violation, found)
+    return RemarkReport(report, point, is_violation, is_violation)
 
 
 def _x_plus_v_point(ctx: EtaContext, witness: EtaWitness) -> SubmodulePoint:

@@ -191,10 +191,13 @@ def are_orthogonal_bricks(x: Representation, y: Representation) -> bool:
 def has_brick_summand(m: Representation, y: Representation) -> bool:
     """Does m have a direct summand isomorphic to the brick y?
 
-    Since End(y) is the ground field, y splits off m exactly when some
-    composite y -> m -> y is nonzero: that composite is a nonzero scalar,
-    hence invertible, and the pair of maps realizes the splitting.  The test
-    scans the composition pairing on hom bases for a nonzero entry.
+    Since End(y) is the ground field, every composite f g of g: y -> m and
+    f: m -> y is c(f, g) id_y, and y splits off m exactly when some c(f, g)
+    is nonzero: that scalar is invertible and the pair realizes the
+    splitting.  The pairing c is bilinear, so it is nonzero on some pair of
+    hom basis elements when it is nonzero at all, and c(f, g) can be read
+    at one vertex v with y_v != 0 as the first row of f_v times the first
+    column of g_v.
     """
     _check_pair(m, y)
     if not is_brick(y):
@@ -204,13 +207,11 @@ def has_brick_summand(m: Representation, y: Representation) -> bool:
     into = hom_basis(y, m).basis
     if not into:
         return False
-    back = hom_basis(m, y).basis
-    for f in back:
-        for g in into:
-            comp = f.compose(g)
-            if not comp.is_zero:
-                return True
-    return False
+    v = next(w for w in y.quiver.vertices if y.dims[w])
+    cols = [tuple(row[0] for row in g.maps[v].entries) for g in into]
+    row_times = m.field.row_times
+    return any(any(row_times(f.maps[v].entries[0], cols))
+               for f in hom_basis(m, y).basis)
 
 
 def is_reduced_kronecker(n: Representation) -> bool:

@@ -150,14 +150,6 @@ class Quiver(Record):
         return Quiver(keep_v, tuple(a for a in self.arrows
                                     if a.source in keep_vset and a.target in keep_vset))
 
-    def edge_multiplicities(self) -> Dict[frozenset, int]:
-        """Undirected edge multiset of the underlying graph."""
-        mult: Dict[frozenset, int] = {}
-        for a in self.arrows:
-            key = frozenset((a.source, a.target))
-            mult[key] = mult.get(key, 0) + 1
-        return mult
-
 
 def make_kronecker(n: int) -> Quiver:
     """The n-Kronecker quiver: vertices "1", "2" and arrows a1..an from 1 to 2."""
@@ -316,17 +308,6 @@ class Morphism(Record):
             rhs = self.maps[a.target] * self.source.matrices[a.id]
             if lhs != rhs:
                 raise ValueError(f"intertwining fails at arrow {a.id}")
-
-    def compose(self, inner: "Morphism") -> "Morphism":
-        """self after inner."""
-        if inner.target != self.source:
-            raise ValueError("composition mismatch")
-        maps = {v: self.maps[v] * inner.maps[v] for v in self.maps}
-        return Morphism(inner.source, self.target, maps)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(m.is_zero for m in self.maps.values())
 
     def is_injective(self) -> bool:
         return all(self.maps[v].rank() == self.source.dims[v] for v in self.maps)

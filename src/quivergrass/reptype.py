@@ -29,10 +29,13 @@ class ClassificationResult(Record):
 def _underlying(q: Quiver):
     """(adjacency sets, edge multiplicities) of the underlying multigraph."""
     adj: Dict[str, set] = {v: set() for v in q.vertices}
+    mult: Dict[frozenset, int] = {}
     for a in q.arrows:
         adj[a.source].add(a.target)
         adj[a.target].add(a.source)
-    return adj, q.edge_multiplicities()
+        key = frozenset((a.source, a.target))
+        mult[key] = mult.get(key, 0) + 1
+    return adj, mult
 
 
 def _arm_lengths(adj: Dict[str, set], center: str) -> List[int]:

@@ -12,6 +12,8 @@ the representation-infinite test are used by tests alone, so they live
 here too.
 `symmetric_inertia`, a congruence reduction over Q for any symmetric
 matrix, is the reference for `reptype.tits_definiteness`.
+`has_brick_summand_by_composition`, which composes every pair of Hom
+basis elements, is the reference for `homext.has_brick_summand`.
 """
 
 import random
@@ -157,6 +159,20 @@ def is_brick_power(m, x, s):
         return False
     return all(hstack([f.maps[v] for f in basis]).rank() == m.dims[v]
                for v in m.quiver.vertices if m.dims[v])
+
+
+def has_brick_summand_by_composition(m, y):
+    """Does m have a summand isomorphic to the brick y?  Composition scan.
+
+    The reference for homext.has_brick_summand: End(y) is the ground field,
+    so y splits off m exactly when some composite y -> m -> y of Hom basis
+    elements is nonzero.  Every pair is composed at every vertex.
+    """
+    _check_pair(m, y)
+    into = hom_basis(y, m).basis
+    back = hom_basis(m, y).basis
+    return any(not (f.maps[v] * g.maps[v]).is_zero
+               for f in back for g in into for v in y.quiver.vertices)
 
 
 def cocycle_is_coboundary(eps):

@@ -46,6 +46,7 @@ from quivergrass.quiverrep import (
     make_kronecker,
     rep_power,
     simple,
+    sub_representation,
 )
 
 from oracles import (
@@ -376,14 +377,17 @@ def test_remark_instances_are_reduced_indecomposables():
 
 
 def test_remark_counterexample_demo():
-    report = remark_counterexample_demo(F3, b=1)
-    assert report.counterexample_found
-    assert report.witness_is_violation
-    assert not report.condition_c.holds
-    assert report.witness_point in report.condition_c.violations
-    # the bijection still fails strictly for the same instance
     xprime = remark_Xprime(1, 2, F3)
     ctx = make_eta_context(xprime, case2_Y(F3))
+    for b in (1, 2, 3):
+        report = remark_counterexample_demo(F3, b=b)
+        # checked here, not by the demo: the witness point is no E-bristle
+        assert not is_E_bristle(ctx, sub_representation(report.witness_point)[0])
+        assert report.counterexample_found == report.witness_is_violation
+        assert report.counterexample_found
+        assert not report.condition_c.holds
+        assert report.witness_point in report.condition_c.violations
+    # the bijection still fails strictly for the same instance
     bij = check_bijection(ctx, remark_N(F3, 1))
     assert not bij.equal
     assert bij.lhs < bij.rhs

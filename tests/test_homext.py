@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from quivergrass.construct import case2_X, case2_Y, remark_Xprime
 from quivergrass.exactlinalg import FieldSpec, Matrix, rref
 from quivergrass.homext import (
     ExtCocycle,
@@ -29,7 +30,8 @@ from quivergrass.quiverrep import (
 )
 
 from oracles import (
-    cocycle_is_coboundary, is_exceptional, make_representation, random_representation)
+    cocycle_is_coboundary, has_brick_summand_by_composition, is_exceptional,
+    make_representation, random_representation)
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -212,6 +214,28 @@ def test_has_brick_summand():
     assert not has_brick_summand(rep_power(s2, 3), s1)
     with pytest.raises(ValueError):
         has_brick_summand(s2, rep_power(s1, 2))
+
+
+def test_has_brick_summand_matches_composition_scan():
+    # the pairing test reads one scalar per pair of Hom basis elements at one
+    # vertex; the oracle composes every pair at every vertex
+    rng = random.Random(41)
+    k3 = make_kronecker(3)
+    seen = set()
+    for field in [FieldSpec.prime(p) for p in (2, 3, 5, 7)] + [FieldSpec.rational()]:
+        bricks = [case2_Y(field), simple(k3, "1", field), simple(k3, "2", field),
+                  projective(k3, "1", field)]
+        if field.p != 2:   # the eigenvalue families need two distinct nonzero values
+            bricks += [case2_X((1, 2), field), remark_Xprime(1, 2, field)]
+        assert all(is_brick(y) for y in bricks)
+        for _ in range(24):
+            y = rng.choice(bricks)
+            m = _rebased_sum([rng.choice(bricks) for _ in range(rng.randint(1, 3))]
+                             + [random_representation(k3, field, rng, max_dim=2)], rng)
+            found = has_brick_summand(m, y)
+            assert found == has_brick_summand_by_composition(m, y), (field, y, m)
+            seen.add(found)
+    assert seen == {False, True}
 
 
 def test_is_reduced_kronecker():

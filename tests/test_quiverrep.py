@@ -166,8 +166,6 @@ def test_morphism_intertwining_enforced():
                         "2": Matrix(F3, [[1, 1], [0, 0]], ncols=2)})
     ident = Morphism(m, m, {v: Matrix.identity(F3, m.dims[v]) for v in k2.vertices})
     assert ident.is_injective() and ident.is_surjective()
-    comp = ident.compose(ident)
-    assert comp.maps == ident.maps
 
 
 def test_submodule_point_canonicalization():
