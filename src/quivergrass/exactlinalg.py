@@ -4,17 +4,20 @@ Everything here is exact: prime field elements are Python ints reduced into
 [0, p), rational entries are fractions.Fraction in lowest terms.  No floats
 anywhere.  FieldSpec alone knows how entries reduce: every matrix operation and
 kernel here is one body over its row primitives (x + f*y, c*x, a row times a
-list of columns; c*x and x -= f*y on sparse rows).  Matrices are dense.  The
+list of columns; on the sparse rows of a rank: taking a row in, clearing one
+column of it by a pivot row, making a pivot row).  Matrices are dense.  The
 canonical reduced row echelon form (RREF), kernel bases, inverses and the
 enumeration of all k-dimensional subspaces of F_p^n by canonical RREF
-representatives run on the dense Gauss-Jordan kernel.  Matrix.rank runs
-forward elimination on the sparse rows of the matrix or its transpose.
+representatives run on the dense Gauss-Jordan kernel.  A rank runs forward elimination on sparse
+{column: entry} rows, of the matrix or its transpose; over Q those rows hold
+integers and the elimination is fraction-free.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
 from operator import mul
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -152,7 +155,7 @@ class FieldSpec(Record):
                 den = x.denominator % p
                 if den == 0:
                     raise ValueError(f"{x} has no image in F_{p}")
-                return (x.numerator % p) * pow(den, p - 2, p) % p
+                return (x.numerator % p) * self.inv(den) % p
             raise TypeError(f"cannot coerce {type(x).__name__} into F_{p}")
         if isinstance(x, bool):
             raise TypeError("bool is not a field scalar")
@@ -165,7 +168,7 @@ class FieldSpec(Record):
             x = x % self.p
             if x == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return pow(x, self.p - 2, self.p)
+            return pow(x, -1, self.p)
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
         return Fraction(1) / x
@@ -194,24 +197,55 @@ class FieldSpec(Record):
             return [sum(map(mul, x, col), z) for col in cols]
         return [sum(map(mul, x, col)) % p for col in cols]
 
-    def sparse_scale(self, c, x: dict) -> dict:
-        """c*x for a unit c, on sparse rows: {column: nonzero entry} dicts."""
+    # Rank primitives on sparse rows, {column: nonzero entry} dicts.  A rank
+    # needs each row only up to a nonzero factor, so over Q they hold ints.
+
+    def sparse_row(self, x: dict) -> dict:
+        """A new sparse row on the line of x for the rank to eliminate: over
+        Q, x times the lcm of its denominators, in ints."""
+        if self.p is not None:
+            return dict(x)
+        den = lcm(*[a.denominator for a in x.values()])
+        return {j: a.numerator * (den // a.denominator) for j, a in x.items()}
+
+    def sparse_pivot(self, x: dict) -> dict:
+        """The pivot row on the line of x: scaled to 1 at its first column
+        (its first key) over F_p; over Q, divided by the gcd of its entries."""
         p = self.p
         if p is None:
-            return {j: c * a for j, a in x.items()}
+            g = gcd(*x.values())
+            return x if g == 1 else {j: a // g for j, a in x.items()}
+        c = self.inv(next(iter(x.values())))
         return {j: c * a % p for j, a in x.items()}
 
-    def sparse_sub(self, x: dict, f, y: dict) -> None:
-        """x -= f*y in place, dropping the entries that become zero."""
+    def sparse_eliminate(self, x: dict, c: int, y: dict) -> dict:
+        """A row on the line of x - (x[c]/y[c]) y, which is zero at column c,
+        for a pivot row y; x may be updated in place.  Over Q it is
+        e*x - f*y with e/f = y[c]/x[c] in lowest terms."""
         p = self.p
+        f = x[c]
+        if p is None:
+            e = y[c]
+            g = gcd(e, f)
+            if g != 1:
+                e //= g
+                f //= g
+            if e != 1:
+                x = {j: e * a for j, a in x.items()}
+            for j, b in y.items():
+                a = x.get(j, 0) - f * b
+                if a:
+                    x[j] = a
+                else:
+                    del x[j]
+            return x
         for j, b in y.items():
-            a = x.get(j, 0) - f * b
-            if p is not None:
-                a %= p
+            a = (x.get(j, 0) - f * b) % p
             if a:
                 x[j] = a
             else:
                 del x[j]
+        return x
 
 
 class Matrix:
@@ -323,7 +357,8 @@ class Matrix:
         return Matrix(self.field, rows, ncols=self.nrows, _trusted=True)
 
     def rank(self) -> int:
-        return _sparse_rank(self)
+        return _sparse_rank([{j: x for j, x in enumerate(r) if x} for r in self.entries],
+                            self.ncols, self.field)
 
     def _assert_same_shape(self, other: "Matrix") -> None:
         if self.field != other.field:
@@ -422,25 +457,31 @@ def _rref_rows(rows: list, ncols: int, field: FieldSpec) -> tuple:
     return r, tuple(pivots)
 
 
-def _sparse_rank(m: Matrix) -> int:
-    """Rank by forward elimination on sparse {column: entry} rows.
+def _sparse_rank(rows: Sequence[dict], ncols: int, field: FieldSpec) -> int:
+    """Rank of sparse {column: nonzero entry} rows of length ncols.
 
-    Rows of the orientation with fewer rows are taken sparsest first (fewer
-    fill-ins) and reduced against the pivot rows found so far, in the order
-    found: each is zero at the earlier pivot columns.  A nonzero remainder is
-    the next pivot row, scaled to 1 at its first column.
+    Forward elimination on whichever of the rows and their transpose has
+    fewer rows.  Its rows are taken sparsest first (fewer fill-ins) and each
+    is cleared at the pivot columns found so far, in the order found: a pivot
+    row is zero at the earlier pivot columns.  A nonzero remainder is the
+    next pivot row, pivoting at its first column.  The rows given are not
+    modified.
     """
-    rows = m.entries if m.nrows <= m.ncols else m.transpose().entries
-    sub, scale, inv = m.field.sparse_sub, m.field.sparse_scale, m.field.inv
+    if len(rows) > ncols:
+        cols = [{} for _ in range(ncols)]
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                cols[j][i] = x
+        rows = cols
+    eliminate, pivot = field.sparse_eliminate, field.sparse_pivot
     pivots = {}
-    for row in sorted(({j: x for j, x in enumerate(r) if x} for r in rows), key=len):
+    for row in sorted(map(field.sparse_row, rows), key=len):
         for c, prow in pivots.items():
-            f = row.get(c)
-            if f:
-                sub(row, f, prow)
+            if c in row:
+                row = eliminate(row, c, prow)
         if row:
-            c = next(iter(row))
-            pivots[c] = scale(inv(row[c]), row)
+            prow = pivot(row)
+            pivots[next(iter(prow))] = prow
     return len(pivots)
 
 

@@ -7,14 +7,19 @@ same acyclic quiver,
     (d0 f)_a = N_a f_i - f_j M_a
 
 has kernel Hom(M, N), and since path algebras of acyclic quivers are
-hereditary, its cokernel is Ext^1(M, N).  Both are read off one matrix.
+hereditary, its cokernel is Ext^1(M, N).  Both are read off one matrix, built
+once as sparse {column: entry} rows: a row, one entry of (d0 f)_a, has at
+most dim N_i + dim M_j nonzeros.  hom_ext_dims reads the two dimensions off
+the rank of those rows, fraction-free over Q; hom_basis and ext1 read their
+canonical bases off the dense RREF of the same rows.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Tuple
 
-from .exactlinalg import FieldSpec, Matrix, Record, kernel_basis, rref, vstack
+from .exactlinalg import (
+    FieldSpec, Matrix, Record, Scalar, _sparse_rank, kernel_basis, rref, vstack)
 from .quiverrep import (
     DimVector,
     Morphism,
@@ -62,11 +67,24 @@ class Ext1Result(NamedTuple):
 
 
 class _Differential(NamedTuple):
-    matrix: Matrix            # D1 x D0
+    rows: List[Dict[int, Scalar]]  # D1 sparse rows of length D0
+    field: FieldSpec
     dom_bases: Dict[str, int]  # vertex -> offset into flattened domain
     cod_bases: Dict[str, int]  # arrow id -> offset into flattened codomain
     d0: int
     d1: int
+
+    @property
+    def matrix(self) -> Matrix:
+        """The D1 x D0 matrix of the rows."""
+        z = self.field.zero
+        dense = []
+        for row in self.rows:
+            r = [z] * self.d0
+            for j, x in row.items():
+                r[j] = x
+            dense.append(tuple(r))
+        return Matrix(self.field, tuple(dense), ncols=self.d0, _trusted=True)
 
 
 def _check_pair(m: Representation, n: Representation) -> None:
@@ -92,26 +110,27 @@ def _differential(m: Representation, n: Representation) -> _Differential:
         cod_bases[a.id] = off
         off += n.dims[a.target] * m.dims[a.source]
     d1 = off
-    rows = [[field.zero] * d0 for _ in range(d1)]
+    rows = []
     minus_one = field.coerce(-1)
     for a in q.arrows:
         # the quiver is acyclic, so i != j and the f_i and f_j blocks of a row
-        # are disjoint: every entry is written at most once
+        # are disjoint; rows come in codomain order, arrow by arrow
         i, j = a.source, a.target
-        base = cod_bases[a.id]
         mi, mj = m.dims[i], m.dims[j]
-        fi, fj, ni = dom_bases[i], dom_bases[j], n.dims[i]
-        neg_cols = [field.scale_row(minus_one, col)
+        fi, fj = dom_bases[i], dom_bases[j]
+        neg_cols = [[(t, x) for t, x in enumerate(field.scale_row(minus_one, col)) if x]
                     for col in m.matrices[a.id].transpose().entries]
         for r, na_row in enumerate(n.matrices[a.id].entries):
+            na = [(s, x) for s, x in enumerate(na_row) if x]
+            fjr = fj + r * mj
             for c in range(mi):
-                row = rows[base + r * mi + c]
                 # (N_a f_i)[r,c] contributes +N_a[r,s] at f_i[s,c]
-                row[fi + c:fi + ni * mi:mi] = na_row
+                row = {fi + s * mi + c: x for s, x in na}
                 # (f_j M_a)[r,c] contributes -M_a[t,c] at f_j[r,t]
-                row[fj + r * mj:fj + (r + 1) * mj] = neg_cols[c]
-    mat = Matrix(field, tuple(tuple(row) for row in rows), ncols=d0, _trusted=True)
-    return _Differential(mat, dom_bases, cod_bases, d0, d1)
+                for t, x in neg_cols[c]:
+                    row[fjr + t] = x
+                rows.append(row)
+    return _Differential(rows, field, dom_bases, cod_bases, d0, d1)
 
 
 def _unflatten(vec, blocks, field: FieldSpec) -> Dict[str, Matrix]:
@@ -134,7 +153,7 @@ def hom_basis(m: Representation, n: Representation) -> HomBasis:
 def hom_ext_dims(m: Representation, n: Representation) -> Tuple[int, int]:
     """(dim Hom(m,n), dim Ext1(m,n)) from a single rank computation."""
     diff = _differential(m, n)
-    r = diff.matrix.rank()
+    r = _sparse_rank(diff.rows, diff.d0, diff.field)
     return diff.d0 - r, diff.d1 - r
 
 

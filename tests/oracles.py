@@ -14,6 +14,9 @@ here too.
 matrix, is the reference for `reptype.tits_definiteness`.
 `has_brick_summand_by_composition`, which composes every pair of Hom
 basis elements, is the reference for `homext.has_brick_summand`.
+`dense_differential`, which writes the blocks of d0 into dense rows by
+slice assignment, is the reference for the sparse rows of
+`homext._differential`.
 """
 
 import random
@@ -181,6 +184,35 @@ def cocycle_is_coboundary(eps):
     vec = [x for a in m.quiver.arrows for row in eps.components[a.id].entries
            for x in row]
     return solve(_differential(m, n).matrix, vec) is not None
+
+
+def dense_differential(m, n) -> Matrix:
+    """The D1 x D0 matrix of d0 : sum_v Hom(M_v, N_v) -> sum_a Hom(M_i, N_j),
+    (d0 f)_a = N_a f_i - f_j M_a, built dense block by block."""
+    _check_pair(m, n)
+    q, field = m.quiver, m.field
+    dom_bases, off = {}, 0
+    for v in q.vertices:
+        dom_bases[v] = off
+        off += n.dims[v] * m.dims[v]
+    d0 = off
+    rows = []
+    minus_one = field.coerce(-1)
+    for a in q.arrows:
+        i, j = a.source, a.target
+        mi, mj = m.dims[i], m.dims[j]
+        fi, fj, ni = dom_bases[i], dom_bases[j], n.dims[i]
+        neg_cols = [field.scale_row(minus_one, col)
+                    for col in m.matrices[a.id].transpose().entries]
+        for r, na_row in enumerate(n.matrices[a.id].entries):
+            for c in range(mi):
+                row = [field.zero] * d0
+                # (N_a f_i)[r,c] contributes +N_a[r,s] at f_i[s,c]
+                row[fi + c:fi + ni * mi:mi] = na_row
+                # (f_j M_a)[r,c] contributes -M_a[t,c] at f_j[r,t]
+                row[fj + r * mj:fj + (r + 1) * mj] = neg_cols[c]
+                rows.append(tuple(row))
+    return Matrix(field, tuple(rows), ncols=d0, _trusted=True)
 
 
 def reference_rref_rows(rows, ncols, field):

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -101,6 +102,16 @@ def test_field_inv():
     assert QQ.inv(Fraction(3, 2)) == Fraction(2, 3)
     with pytest.raises(ZeroDivisionError):
         F5.inv(0)
+
+
+def test_field_inv_matches_fermat():
+    rng = random.Random(96)
+    for p in (2, 3, 5, 7, 2 ** 31 - 1):
+        field = FieldSpec.prime(p)
+        xs = range(1, p) if p < 8 else [rng.randrange(1, p) for _ in range(200)] + [1, p - 1]
+        for x in xs:
+            assert field.inv(x) == pow(x, p - 2, p)
+            assert field.inv(x - p) == field.inv(x + 3 * p) == field.inv(x)
 
 
 def test_matrix_basic_arithmetic():
@@ -295,25 +306,25 @@ def _nonzero(field, rng):
     return Fraction(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), rng.randint(1, 3))
 
 
-def _sparse_rows(field, nr, nc, density, rng):
+def _sparse_rows(field, nr, nc, density, rng, nonzero=_nonzero):
     """nr x nc entries, each nonzero with probability density."""
-    return [[_nonzero(field, rng) if rng.random() < density else field.zero
+    return [[nonzero(field, rng) if rng.random() < density else field.zero
              for _ in range(nc)] for _ in range(nr)]
 
 
-def _of_rank(field, nr, nc, r, density, rng):
+def _of_rank(field, nr, nc, r, density, rng, nonzero=_nonzero):
     """An nr x nc matrix of rank exactly r, as a product A B of an injective A
     (a scaled permutation on r of its rows) and a surjective B (a scaled
     identity on r of its columns), sparse elsewhere with the given density."""
-    a = _sparse_rows(field, nr, r, density, rng)
-    b = _sparse_rows(field, r, nc, density, rng)
+    a = _sparse_rows(field, nr, r, density, rng, nonzero)
+    b = _sparse_rows(field, r, nc, density, rng, nonzero)
     for k, i in enumerate(rng.sample(range(nr), r)):
         a[i] = [field.zero] * r
-        a[i][k] = _nonzero(field, rng)
+        a[i][k] = nonzero(field, rng)
     for k, j in enumerate(rng.sample(range(nc), r)):
         for row in b:
             row[j] = field.zero
-        b[k][j] = _nonzero(field, rng)
+        b[k][j] = nonzero(field, rng)
     return reference_matmul(Matrix(field, a, ncols=r), Matrix(field, b, ncols=nc))
 
 
@@ -337,20 +348,93 @@ def test_sparse_rank_matches_dense_rank():
                 assert m.rank() == rank == rref(m).rank, (field, nr, nc, density)
 
 
+def _sparse(row):
+    return {j: a for j, a in enumerate(row) if a}
+
+
+def _on_line(got, want):
+    """got is a nonzero rational multiple of the dense row want, stored
+    sparse with nonzero int entries."""
+    if not all(type(a) is int and a for a in got.values()):
+        return False
+    j = next((j for j, a in enumerate(want) if a), None)
+    if j is None or j not in got:
+        return j is None and not got
+    factor = Fraction(got[j]) / want[j]
+    return got == _sparse([factor * a for a in want])
+
+
 def test_sparse_row_primitives_match_dense_ones():
+    # the rank's row primitives against dense field arithmetic: over F_p
+    # exactly (scale_row, add_scaled); over Q up to a nonzero rational
+    # factor, on int rows, with every pivot row primitive
     rng = random.Random(98)
     for field in RANK_FIELDS:
-        for _ in range(40):
-            n = rng.randint(0, 8)
+        for _ in range(60):
+            n = rng.randint(1, 8)
             x, y = _sparse_rows(field, 2, n, rng.random(), rng)
-            f = _nonzero(field, rng)
-            sparse = {j: a for j, a in enumerate(x) if a}
-            field.sparse_sub(sparse, f, {j: b for j, b in enumerate(y) if b})
-            want = field.add_scaled(x, field.coerce(-f), y)
-            assert sparse == {j: a for j, a in enumerate(want) if a}
-            assert _canonical(Matrix(field, [list(sparse.values())], ncols=len(sparse)))
-            scaled = field.sparse_scale(f, {j: a for j, a in enumerate(x) if a})
-            assert scaled == {j: a for j, a in enumerate(field.scale_row(f, x)) if a}
+            c = rng.randrange(n)
+            x[c], y[c] = _nonzero(field, rng), _nonzero(field, rng)
+            # a pivot row pivots at its first column
+            y[:c] = [field.zero] * c
+            sx, sy = _sparse(x), _sparse(y)
+            row = field.sparse_row(sx)
+            assert row is not sx and sx == _sparse(x)
+            pivot = field.sparse_pivot(field.sparse_row(sy))
+            assert next(iter(pivot)) == c
+            out = field.sparse_eliminate(dict(row), c, pivot)
+            assert c not in out
+            if field.is_prime:
+                assert row == sx
+                dense_pivot = field.scale_row(field.inv(y[c]), y)
+                assert pivot == _sparse(dense_pivot)
+                assert out == _sparse(field.add_scaled(x, field.coerce(-x[c]), dense_pivot))
+                assert all(type(a) is int and 0 < a < field.p for a in out.values())
+            else:
+                want = [a - x[c] / y[c] * b for a, b in zip(x, y)]
+                assert _on_line(row, x) and _on_line(pivot, y) and _on_line(out, want)
+                # cross-multiplied by the lowest terms e/f of pivot[c]/row[c]
+                g = gcd(pivot[c], row[c])
+                e, f = pivot[c] // g, row[c] // g
+                assert out == {j: a for j in row.keys() | pivot.keys()
+                               if (a := e * row.get(j, 0) - f * pivot.get(j, 0))}
+                assert gcd(*pivot.values()) == 1
+                if out:
+                    primitive = field.sparse_pivot(out)
+                    assert gcd(*primitive.values()) == 1 and _on_line(primitive, want)
+
+
+def _big_rational(field, rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+
+
+def _big_numerator(field, rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 10 ** 6), rng.randint(1, 3))
+
+
+def test_fraction_free_rank_matches_rref_over_q():
+    # Matrix.rank over Q eliminates primitive int rows; compare it with the
+    # Fraction RREF kernels on dense matrices and on products of known rank,
+    # with numerators and denominators up to 10^6.  Dense ones from 20 x 20
+    # up keep denominators up to 3: with independent 10^6 ones a 40 x 40
+    # rank, exact either way, takes seconds on ints of thousands of digits
+    rng = random.Random(99)
+    cases = []                          # (matrix, its rank)
+    for nr, nc in ((1, 1), (3, 5), (5, 3), (8, 8), (10, 7)):
+        m = Matrix(QQ, _sparse_rows(QQ, nr, nc, 1.0, rng, _big_rational), ncols=nc)
+        cases.append((m, min(nr, nc)))
+    for nr, nc in ((20, 20), (40, 40)):
+        m = Matrix(QQ, _sparse_rows(QQ, nr, nc, 1.0, rng, _big_numerator), ncols=nc)
+        cases.append((m, nr))
+    for nr, nc, r in ((12, 12, 5), (40, 40, 3), (25, 40, 2), (30, 30, 12)):
+        make = _big_rational if r <= 4 else _big_numerator
+        cases.append((_of_rank(QQ, nr, nc, r, 1.0, rng, make), r))
+        cases.append((reference_matmul(
+            Matrix(QQ, _sparse_rows(QQ, nr, r, 1.0, rng, make), ncols=r),
+            Matrix(QQ, _sparse_rows(QQ, r, nc, 1.0, rng, make), ncols=nc)), r))
+    for m, r in cases:
+        rank, _ = reference_rref_rows([list(row) for row in m.entries], m.ncols, QQ)
+        assert m.rank() == m.transpose().rank() == rank == rref(m).rank == r, m.shape
 
 
 def test_solve():

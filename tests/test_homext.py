@@ -30,8 +30,8 @@ from quivergrass.quiverrep import (
 )
 
 from oracles import (
-    cocycle_is_coboundary, has_brick_summand_by_composition, is_exceptional,
-    make_representation, random_representation)
+    cocycle_is_coboundary, dense_differential, has_brick_summand_by_composition,
+    is_exceptional, make_representation, random_representation)
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -88,6 +88,30 @@ def test_rank_path_matches_rref_path_on_rebased_sums():
             d = _differential(m, n).matrix
             assert d.rank() == rref(d).rank == d.transpose().rank()
             assert hom_ext_dims(m, n) == (hom_basis(m, n).dim, ext1(m, n).dim)
+
+
+def test_sparse_differential_matches_dense_builder():
+    # _differential builds the sparse rows of d0; densified they are the
+    # matrix of the slice-assignment builder, and no row stores a zero
+    rng = random.Random(41)
+    d4 = Quiver(("1", "2", "3", "4"), (Arrow("a", "1", "2"), Arrow("b", "3", "2"),
+                                       Arrow("c", "2", "4"), Arrow("d", "2", "4")))
+    quivers = (A2, make_kronecker(3), d4)
+    fields = [FieldSpec.prime(p) for p in (2, 3, 5, 7, 2 ** 31 - 1)] + [FieldSpec.rational()]
+    seen = set()
+    for field in fields:
+        for _ in range(30):
+            q = rng.choice(quivers)
+            m, n = (random_representation(q, field, rng, max_dim=3) for _ in range(2))
+            diff = _differential(m, n)
+            dense = dense_differential(m, n)
+            assert diff.matrix == dense and (diff.d1, diff.d0) == dense.shape
+            assert all(all(row.values()) for row in diff.rows)
+            r = rref(dense).rank
+            assert hom_ext_dims(m, n) == (diff.d0 - r, diff.d1 - r)
+            seen.add((diff.d1 > diff.d0, 0 in m.dims.values(), 0 in n.dims.values()))
+    assert {d1_over_d0 for d1_over_d0, _, _ in seen} == {True, False}
+    assert any(m_zero for _, m_zero, _ in seen) and any(n_zero for _, _, n_zero in seen)
 
 
 def test_projectives_have_no_ext():
