@@ -8,9 +8,9 @@ list of columns; on the sparse rows of a rank: taking a row in, clearing one
 column of it by a pivot row, making a pivot row).  Matrices are dense.  The
 canonical reduced row echelon form (RREF), kernel bases, inverses and the
 enumeration of all k-dimensional subspaces of F_p^n by canonical RREF
-representatives run on the dense Gauss-Jordan kernel.  A rank runs forward elimination on sparse
-{column: entry} rows, of the matrix or its transpose; over Q those rows hold
-integers and the elimination is fraction-free.
+representatives run on the dense Gauss-Jordan kernel.  A rank runs forward
+elimination on sparse {column: entry} rows, of the matrix or its transpose;
+over Q those rows hold integers and the elimination is fraction-free.
 """
 
 from __future__ import annotations
@@ -35,6 +35,12 @@ def _is_prime(p: int) -> bool:
             return False
         d += 2
     return True
+
+
+def _primitive(x: dict) -> dict:
+    """A nonzero sparse int row divided by the gcd of its entries."""
+    g = gcd(*x.values())
+    return x if g == 1 else {j: a // g for j, a in x.items()}
 
 
 class Record:
@@ -213,23 +219,23 @@ class FieldSpec(Record):
         (its first key) over F_p; over Q, divided by the gcd of its entries."""
         p = self.p
         if p is None:
-            g = gcd(*x.values())
-            return x if g == 1 else {j: a // g for j, a in x.items()}
+            return _primitive(x)
         c = self.inv(next(iter(x.values())))
         return {j: c * a % p for j, a in x.items()}
 
     def sparse_eliminate(self, x: dict, c: int, y: dict) -> dict:
         """A row on the line of x - (x[c]/y[c]) y, which is zero at column c,
         for a pivot row y; x may be updated in place.  Over Q it is
-        e*x - f*y with e/f = y[c]/x[c] in lowest terms."""
+        e*x - f*y with e/f = y[c]/x[c] in lowest terms and e > 0, divided
+        by the gcd of its entries when e > 1: the factor e is where the ints
+        would outgrow the row's line, as in Bareiss elimination."""
         p = self.p
         f = x[c]
         if p is None:
             e = y[c]
-            g = gcd(e, f)
-            if g != 1:
-                e //= g
-                f //= g
+            g = gcd(e, f) if e > 0 else -gcd(e, f)
+            e //= g
+            f //= g
             if e != 1:
                 x = {j: e * a for j, a in x.items()}
             for j, b in y.items():
@@ -238,7 +244,7 @@ class FieldSpec(Record):
                     x[j] = a
                 else:
                     del x[j]
-            return x
+            return _primitive(x) if e != 1 and x else x
         for j, b in y.items():
             a = (x.get(j, 0) - f * b) % p
             if a:

@@ -367,8 +367,10 @@ def _on_line(got, want):
 def test_sparse_row_primitives_match_dense_ones():
     # the rank's row primitives against dense field arithmetic: over F_p
     # exactly (scale_row, add_scaled); over Q up to a nonzero rational
-    # factor, on int rows, with every pivot row primitive
+    # factor, on int rows, with every pivot row primitive and every row
+    # primitive after a step that scaled it
     rng = random.Random(98)
+    scaled = set()
     for field in RANK_FIELDS:
         for _ in range(60):
             n = rng.randint(1, 8)
@@ -393,15 +395,20 @@ def test_sparse_row_primitives_match_dense_ones():
             else:
                 want = [a - x[c] / y[c] * b for a, b in zip(x, y)]
                 assert _on_line(row, x) and _on_line(pivot, y) and _on_line(out, want)
-                # cross-multiplied by the lowest terms e/f of pivot[c]/row[c]
-                g = gcd(pivot[c], row[c])
+                # cross-multiplied by the lowest terms e/f of pivot[c]/row[c],
+                # e > 0, and divided by its content when e > 1
+                g = gcd(pivot[c], row[c]) * (1 if pivot[c] > 0 else -1)
                 e, f = pivot[c] // g, row[c] // g
-                assert out == {j: a for j in row.keys() | pivot.keys()
-                               if (a := e * row.get(j, 0) - f * pivot.get(j, 0))}
+                cross = {j: a for j in row.keys() | pivot.keys()
+                         if (a := e * row.get(j, 0) - f * pivot.get(j, 0))}
+                content = gcd(*cross.values()) if e > 1 else 1
+                assert out == {j: a // content for j, a in cross.items()}
+                scaled.add(e > 1)
                 assert gcd(*pivot.values()) == 1
                 if out:
                     primitive = field.sparse_pivot(out)
                     assert gcd(*primitive.values()) == 1 and _on_line(primitive, want)
+    assert scaled == {True, False}
 
 
 def _big_rational(field, rng):
@@ -415,15 +422,15 @@ def _big_numerator(field, rng):
 def test_fraction_free_rank_matches_rref_over_q():
     # Matrix.rank over Q eliminates primitive int rows; compare it with the
     # Fraction RREF kernels on dense matrices and on products of known rank,
-    # with numerators and denominators up to 10^6.  Dense ones from 20 x 20
-    # up keep denominators up to 3: with independent 10^6 ones a 40 x 40
-    # rank, exact either way, takes seconds on ints of thousands of digits
+    # with numerators and denominators up to 10^6.  Dense ones above 20 x 20
+    # keep denominators up to 3: with independent 10^6 ones a 40 x 40 rank,
+    # exact either way, takes seconds on ints of thousands of digits
     rng = random.Random(99)
     cases = []                          # (matrix, its rank)
-    for nr, nc in ((1, 1), (3, 5), (5, 3), (8, 8), (10, 7)):
+    for nr, nc in ((1, 1), (3, 5), (5, 3), (8, 8), (10, 7), (20, 20)):
         m = Matrix(QQ, _sparse_rows(QQ, nr, nc, 1.0, rng, _big_rational), ncols=nc)
         cases.append((m, min(nr, nc)))
-    for nr, nc in ((20, 20), (40, 40)):
+    for nr, nc in ((30, 30), (40, 40)):
         m = Matrix(QQ, _sparse_rows(QQ, nr, nc, 1.0, rng, _big_numerator), ncols=nc)
         cases.append((m, nr))
     for nr, nc, r in ((12, 12, 5), (40, 40, 3), (25, 40, 2), (30, 30, 12)):
