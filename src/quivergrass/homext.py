@@ -121,11 +121,15 @@ def _differential(m: Representation, n: Representation) -> _Differential:
         neg_cols = [[(t, x) for t, x in enumerate(field.scale_row(minus_one, col)) if x]
                     for col in m.matrices[a.id].transpose().entries]
         for r, na_row in enumerate(n.matrices[a.id].entries):
-            na = [(s, x) for s, x in enumerate(na_row) if x]
+            # (N_a f_i)[r,c] contributes +N_a[r,s] at f_i[s,c]
+            na = [(fi + s * mi, x) for s, x in enumerate(na_row) if x]
             fjr = fj + r * mj
             for c in range(mi):
-                # (N_a f_i)[r,c] contributes +N_a[r,s] at f_i[s,c]
-                row = {fi + s * mi + c: x for s, x in na}
+                # plain loops: a row has only a few entries, fewer than pay
+                # for the call of a comprehension
+                row = {}
+                for k, x in na:
+                    row[k + c] = x
                 # (f_j M_a)[r,c] contributes -M_a[t,c] at f_j[r,t]
                 for t, x in neg_cols[c]:
                     row[fjr + t] = x
