@@ -363,8 +363,11 @@ class Matrix:
         return Matrix(self.field, rows, ncols=self.nrows, _trusted=True)
 
     def rank(self) -> int:
-        return _sparse_rank([{j: x for j, x in enumerate(r) if x} for r in self.entries],
-                            self.ncols, self.field)
+        # a tall matrix is ranked by its columns, transposed here as tuples
+        tall = self.nrows > self.ncols
+        rows = zip(*self.entries) if tall else self.entries
+        return _sparse_rank([{j: x for j, x in enumerate(r) if x} for r in rows],
+                            self.nrows if tall else self.ncols, self.field)
 
     def _assert_same_shape(self, other: "Matrix") -> None:
         if self.field != other.field:
@@ -410,12 +413,6 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
     for r in b.entries:
         rows.append(tuple(z for _ in range(a.ncols)) + tuple(r))
     return Matrix(a.field, tuple(rows), ncols=a.ncols + b.ncols, _trusted=True)
-
-
-def block2x2(tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix) -> Matrix:
-    top = hstack([tl, tr])
-    bottom = hstack([bl, br])
-    return vstack([top, bottom])
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

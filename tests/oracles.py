@@ -17,6 +17,9 @@ basis elements, is the reference for `homext.has_brick_summand`.
 `dense_differential`, which writes the blocks of d0 into dense rows by
 slice assignment, is the reference for the sparse rows of
 `homext._differential`.
+`kron_eta_module`, which assembles each arrow of the middle term from
+Kronecker products, sums and `block2x2`, is the reference for the block
+placement of `construct._eta_module`.
 """
 
 import random
@@ -25,13 +28,14 @@ from itertools import product
 from typing import List, Optional, Tuple
 
 from quivergrass.exactlinalg import (
-    FieldSpec, Matrix, _rref_rows, gaussian_binomial, hstack, kernel_basis,
-    pivot_columns, row_space)
+    FieldSpec, Matrix, _rref_rows, gaussian_binomial, hstack, kernel_basis, kron,
+    pivot_columns, row_space, vstack)
 from quivergrass.grassmann import _projective_lines, _Quotient, _spin
 from quivergrass.homext import (
     _check_pair, _differential, hom_basis, hom_ext_dims, is_brick)
 from quivergrass.quiverrep import (
-    Arrow, Morphism, NotASubmodule, Quiver, Representation, SubmodulePoint, projective)
+    Arrow, Morphism, NotASubmodule, Quiver, Representation, SubmodulePoint,
+    kronecker_shape, projective)
 from quivergrass.reptype import classify
 
 
@@ -213,6 +217,33 @@ def dense_differential(m, n) -> Matrix:
                 row[fj + r * mj:fj + (r + 1) * mj] = neg_cols[c]
                 rows.append(tuple(row))
     return Matrix(field, tuple(rows), ncols=d0, _trusted=True)
+
+
+def block2x2(tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix) -> Matrix:
+    """The block matrix [[tl, tr], [bl, br]]."""
+    return vstack([hstack([tl, tr]), hstack([bl, br])])
+
+
+def kron_eta_module(ctx, n_rep) -> Representation:
+    """The middle term of eta(N), each arrow assembled as the block matrix
+    [[X_alpha (x) I_a, sum_i eps_i,alpha (x) gamma_i], [0, Y_alpha (x) I_b]]
+    from Kronecker products, matrix sums and block2x2."""
+    src, tgt, arrow_ids = kronecker_shape(n_rep.quiver)
+    x, y, field = ctx.x, ctx.y, ctx.x.field
+    b, a = n_rep.dims[src], n_rep.dims[tgt]
+    gammas = [n_rep.matrices[aid] for aid in arrow_ids]
+    q = x.quiver
+    dims = {v: x.dims[v] * a + y.dims[v] * b for v in q.vertices}
+    mats = {}
+    for arr in q.arrows:
+        xa = kron(x.matrices[arr.id], Matrix.identity(field, a))
+        yb = kron(y.matrices[arr.id], Matrix.identity(field, b))
+        glue = Matrix.zeros(field, x.dims[arr.target] * a, y.dims[arr.source] * b)
+        for eps, gamma in zip(ctx.cocycles, gammas):
+            glue = glue + kron(eps.components[arr.id], gamma)
+        lower = Matrix.zeros(field, y.dims[arr.target] * b, x.dims[arr.source] * a)
+        mats[arr.id] = block2x2(xa, glue, lower, yb)
+    return Representation(q, field, dims, mats)
 
 
 def reference_rref_rows(rows, ncols, field):

@@ -31,7 +31,7 @@ from quivergrass.construct import (
     remark_N,
     remark_Xprime,
 )
-from quivergrass.exactlinalg import FieldSpec, Matrix, block2x2
+from quivergrass.exactlinalg import FieldSpec, Matrix
 from quivergrass.grassmann import enumerate_submodules
 from quivergrass.homext import hom_basis, is_brick
 from quivergrass.quiverrep import (
@@ -47,6 +47,7 @@ from quivergrass.quiverrep import (
 )
 
 from oracles import (
+    block2x2,
     image_point,
     is_brick_power,
     is_isomorphic,

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -42,6 +43,8 @@ from quivergrass.homext import (
     is_reduced_kronecker,
 )
 from quivergrass.quiverrep import (
+    Morphism,
+    Representation,
     direct_sum,
     make_kronecker,
     rep_power,
@@ -50,8 +53,8 @@ from quivergrass.quiverrep import (
 )
 
 from oracles import (
-    is_brick_power, is_exceptional, is_isomorphic, make_representation,
-    random_representation)
+    is_brick_power, is_exceptional, is_isomorphic, kron_eta_module,
+    make_representation, random_representation)
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
@@ -227,6 +230,80 @@ def test_build_eta_input_checks():
         build_eta(ctx, case2_Y(F3))            # K(3) module, context wants K(2)
     with pytest.raises(ValueError):
         build_eta(ctx, bristle(F5))            # field mismatch
+
+
+ETA_FIELDS = [F3, F5, FieldSpec.prime(7), FieldSpec.prime(2 ** 31 - 1), QQ]
+
+
+def _random_kronecker(n, field, a, b, rng):
+    """A K(n) module with source dimension b and sink dimension a; about a
+    third of its entries are zero."""
+    def entry():
+        if rng.random() < 0.35:
+            return 0
+        if field.is_prime:
+            return rng.randrange(1, field.p)
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 12))
+    mats = {f"a{i + 1}": Matrix(field, [[entry() for _ in range(b)] for _ in range(a)],
+                                ncols=b)
+            for i in range(n)}
+    return Representation(make_kronecker(n), field, {"1": b, "2": a}, mats)
+
+
+def test_eta_module_matches_kron_oracle():
+    rng = random.Random(2024)
+    for field in ETA_FIELDS:
+        ctxs = [case1_instance(field), case2_instance(field)]
+        if not field.is_prime or field.p > 3:
+            ctxs.append(case2_instance(field, n=3))
+        for ctx in ctxs:
+            n_reps = [coordinate_inclusion_N(field, ctx.n)]
+            if ctx.n == 2:
+                n_reps += [regular_N(field), preinjective_N(field),
+                           kronecker_preprojective(2, field)]
+            for a, b in [(0, 0), (0, 1), (0, 3), (1, 0), (3, 0)] + [
+                    (rng.randint(1, 3), rng.randint(1, 3)) for _ in range(6)]:
+                n_reps.append(_random_kronecker(ctx.n, field, a, b, rng))
+            for n_rep in n_reps:
+                want = kron_eta_module(ctx, n_rep)
+                got = construct._eta_module(ctx, n_rep)
+                assert got == want, (field, ctx.n, n_rep.dims)
+                assert build_eta(ctx, n_rep).m == want, (field, ctx.n, n_rep.dims)
+                for mat in got.matrices.values():
+                    for e in (e for row in mat.entries for e in row):
+                        assert type(e) is type(field.zero), (field, e)
+                        assert not field.is_prime or 0 <= e < field.p, (field, e)
+
+
+def test_module_only_checkers_raise_the_errors_of_build_eta():
+    ctx = case2_instance(F3)
+    for bad in (case2_Y(F3), bristle(F5)):   # K(3) module for K(2); field mismatch
+        with pytest.raises(ValueError) as want:
+            build_eta(ctx, bad)
+        for check in (lambda: check_eta_fullness(ctx, bad, bad),
+                      lambda: check_bijection(ctx, bad)):
+            with pytest.raises(ValueError) as got:
+                check()
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+
+
+def test_module_only_checkers_build_no_morphism(monkeypatch):
+    built = []
+    init = Morphism.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Morphism, "__init__", counting_init)
+    for ctx in (case2_instance(F3), case1_instance(F3)):
+        n_rep = coordinate_inclusion_N(F3, 2)
+        assert check_eta_fullness(ctx, regular_N(F3), n_rep).equal
+        assert check_bijection(ctx, n_rep).equal
+    assert built == []
+    build_eta(case2_instance(F3), regular_N(F3))   # mu and pi: the count sees them
+    assert len(built) == 2
 
 
 def test_is_E_bristle():

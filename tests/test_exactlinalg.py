@@ -10,7 +10,6 @@ from quivergrass.exactlinalg import (
     FieldSpec,
     Matrix,
     Record,
-    block2x2,
     block_diag,
     enumerate_subspaces,
     gaussian_binomial,
@@ -28,7 +27,7 @@ from quivergrass.exactlinalg import (
     vstack,
 )
 
-from oracles import reference_matmul, reference_rref_rows, solve
+from oracles import block2x2, reference_matmul, reference_rref_rows, solve
 
 F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
