@@ -16,7 +16,7 @@ _EXPORTS = {name: module for module, names in (
                   " rep_power representation_from_json"
                   " representation_to_json simple sub_representation"
                   " zero_representation BudgetExceeded DEFAULT_BUDGET"),
-    ("homext", "ExtCocycle HomBasis are_orthogonal_bricks euler_form ext1"
+    ("homext", "ExtCocycle are_orthogonal_bricks euler_form ext1"
                " has_brick_summand hom_basis hom_ext_dims is_brick is_reduced_kronecker"),
     ("grassmann", "GrassmannianReport count_submodules enumerate_submodules"),
     ("reptype", "ClassificationResult classify tits_definiteness"),

@@ -33,16 +33,15 @@ class InputError(ValueError):
 
 
 def _parse_field(text: str) -> FieldSpec:
+    # every demo enumerates a Grassmannian, which needs a finite prime field
     from .exactlinalg import FieldSpec
-    if text == "rational":
-        return FieldSpec.rational()
     if text.startswith("p="):
         try:
             p = int(text[2:])
         except ValueError:
             raise InputError(f"bad prime in field spec {text!r}")
         return FieldSpec.prime(p)
-    raise InputError(f"field must be 'p=<prime>' or 'rational', got {text!r}")
+    raise InputError(f"field must be 'p=<prime>', got {text!r}")
 
 
 def _load_json_file(path: str):
@@ -76,25 +75,19 @@ def _parse_dimvec(text: str, quiver):
 
 
 def _render_text(data, indent: int = 0) -> str:
+    """A dict's items by key, or a list's as [i], one line each; nested
+    values go indented on the lines below their key, and an empty one is a
+    blank line."""
     pad = "  " * indent
+    items = (sorted(data.items()) if isinstance(data, dict)
+             else ((f"[{i}]", val) for i, val in enumerate(data)))
     lines = []
-    if isinstance(data, dict):
-        for key in sorted(data):
-            val = data[key]
-            if isinstance(val, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.append(_render_text(val, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {val}")
-    elif isinstance(data, list):
-        for i, val in enumerate(data):
-            if isinstance(val, (dict, list)):
-                lines.append(f"{pad}[{i}]:")
-                lines.append(_render_text(val, indent + 1))
-            else:
-                lines.append(f"{pad}[{i}]: {val}")
-    else:
-        lines.append(f"{pad}{data}")
+    for key, val in items:
+        if isinstance(val, (dict, list)):
+            lines.append(f"{pad}{key}:")
+            lines.append(_render_text(val, indent + 1))
+        else:
+            lines.append(f"{pad}{key}: {val}")
     return "\n".join(lines)
 
 
@@ -185,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", parents=[budget, count_only, output],
                        help="built-in instances of the constructions")
     p.add_argument("which", choices=("case2", "case1", "remark"))
-    p.add_argument("--field", default="p=3", help="p=<prime> or rational")
+    p.add_argument("--field", default="p=3", help="p=<prime>")
     p.add_argument("--n", type=int, default=None,
                    help="number of Kronecker arrows (case2)")
     p.add_argument("--lambdas", default=None,

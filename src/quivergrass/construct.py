@@ -15,15 +15,9 @@ again such a middle term over a single X and Y (an "E-bristle").
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .exactlinalg import (
-    FieldSpec,
-    Matrix,
-    Record,
-    gaussian_binomial,
-    row_space,
-)
+from .exactlinalg import FieldSpec, Matrix, Record, gaussian_binomial
 from .grassmann import count_submodules, enumerate_submodules
 from .homext import (
     ExtCocycle,
@@ -38,7 +32,6 @@ from .homext import (
 from .quiverrep import (
     DEFAULT_BUDGET,
     Arrow,
-    DimVector,
     Morphism,
     Quiver,
     Representation,
@@ -203,13 +196,11 @@ def case1_pair(q: Quiver, omega: str, x_on_qprime: Representation
 class EtaContext(Record):
     """A pair of orthogonal bricks with a fixed ordered cocycle basis."""
 
-    __slots__ = ("x", "y", "n", "cocycles", "xdim", "ydim")
+    __slots__ = ("x", "y", "n", "cocycles")
     x: Representation
     y: Representation
     n: int
     cocycles: Tuple[ExtCocycle, ...]
-    xdim: DimVector
-    ydim: DimVector
 
 
 class EtaWitness(Record):
@@ -226,10 +217,10 @@ class EtaWitness(Record):
 def make_eta_context(x: Representation, y: Representation) -> EtaContext:
     if not are_orthogonal_bricks(x, y):
         raise NotOrthogonalBricks("need a pair of orthogonal bricks")
-    res = ext1(y, x)
-    if res.dim == 0:
+    cocycles = ext1(y, x)
+    if not cocycles:
         raise ZeroExt("the pair has no extensions to glue with")
-    return EtaContext(x, y, res.dim, res.basis, x.dim_vector, y.dim_vector)
+    return EtaContext(x, y, len(cocycles), cocycles)
 
 
 def _shuffle_mu(field: FieldSpec, xv: int, a: int, mv: int) -> Matrix:
@@ -331,11 +322,11 @@ def build_eta(ctx: EtaContext, n_rep: Representation) -> EtaWitness:
 def is_E_bristle(ctx: EtaContext, u: Representation) -> bool:
     """Indecomposable middle term of a single-X, single-Y exact sequence.
 
-    Checks, in order: dimension vector equals xdim + ydim; Hom(X, u) = k f
+    Checks, in order: dimension vector equals x + y; Hom(X, u) = k f
     with f injective and Hom(u, Y) = k g with g surjective, at every vertex;
     u is a brick.  The Hom conditions say that u is a middle term of
     0 -> X -> u -> Y -> 0: g f lies in Hom(X, Y) = 0, and the image of f and
-    the kernel of g both have dimension vector xdim.  Conversely, applying
+    the kernel of g both have dimension vector x.  Conversely, applying
     Hom(X, -) and Hom(-, Y) to the sequence gives Hom(X, u) = Hom(X, X) = k
     and Hom(u, Y) = Hom(Y, Y) = k, spanned by the inclusion and the
     projection.  Such a u is indecomposable exactly when it is a brick: an
@@ -345,12 +336,12 @@ def is_E_bristle(ctx: EtaContext, u: Representation) -> bool:
     """
     if u.quiver != ctx.x.quiver or u.field != ctx.x.field:
         raise ValueError("candidate lives on the wrong quiver or field")
-    if u.dims != dim_add(ctx.xdim, ctx.ydim):
+    if u.dims != dim_add(ctx.x.dims, ctx.y.dims):
         return False
-    into = hom_basis(ctx.x, u).basis
+    into = hom_basis(ctx.x, u)
     if len(into) != 1 or not into[0].is_injective():
         return False
-    onto = hom_basis(u, ctx.y).basis
+    onto = hom_basis(u, ctx.y)
     return len(onto) == 1 and onto[0].is_surjective() and is_brick(u)
 
 
@@ -378,7 +369,7 @@ def check_condition_C(ctx: EtaContext, witness: EtaWitness,
     """
     if has_brick_summand(witness.m, ctx.y):
         raise NotReduced("the witness has a direct summand isomorphic to the Y brick")
-    d = dim_add(ctx.xdim, ctx.ydim)
+    d = dim_add(ctx.x.dims, ctx.y.dims)
     report = enumerate_submodules(witness.m, d, budget=budget)
     violations = []
     for pt in report.points:
@@ -408,28 +399,39 @@ class SubmoduleIsoReport(Record):
         return data
 
 
-def _power_test(x: Representation) -> Callable[[SubmodulePoint], bool]:
-    """For a brick x: is a submodule point U of a power x^a itself a power of x?
+def _check_powers(x: Representation, a: int, targets: Iterable[tuple], budget: int
+                  ) -> Tuple[Dict[object, int], List[Tuple[object, SubmodulePoint]]]:
+    """Count the submodules of x^a, a brick power, at each (key, dimension
+    vector d, h) target; the count must be [a choose h]_p, or 0 if h is None.
 
-    Hom(x, x^a) = k^a because End(x) = k, so Hom(x, U) is a subspace W of
-    k^a of some dimension h, and the image of the evaluation map from
-    x (x) W is a copy of x^h inside U.  Hence U is isomorphic to a power of
-    x exactly when its dimension vector is h times that of x.
-
-    So W -> x (x) W is a bijection from the h-dimensional subspaces of k^a
-    onto the submodules of x^a isomorphic to x^h, and every submodule of
-    dimension vector h*dim x is a power of x exactly when there are
-    [a choose h]_p of them.  The lemma checkers count first and run this test
-    only on the points of a dimension vector whose count is off.
+    Hom(x, x^a) = k^a because End(x) = k, so for a submodule U of x^a,
+    Hom(x, U) is a subspace W of k^a of some dimension h, and the image of
+    the evaluation map from x (x) W is a copy of x^h inside U.  Hence U is
+    isomorphic to a power of x exactly when its dimension vector is h times
+    that of x.  So W -> x (x) W is a bijection from the h-dimensional
+    subspaces of k^a onto the submodules of x^a isomorphic to x^h, and every
+    submodule of dimension vector d = h*dim x is a power of x exactly when
+    there are [a choose h]_p of them.  Only the points of a target whose
+    count is off are enumerated, and those whose dimension vector is not
+    dim Hom(x, U) times that of x are returned as (key, point) failures.
+    Returns the counts by key and the failures.
     """
+    if a < 1:
+        raise ValueError("need at least one copy")
     if not is_brick(x):
         raise ValueError("power test requires a brick")
-
-    def is_power(pt: SubmodulePoint) -> bool:
-        sub, _ = sub_representation(pt)
-        h = hom_ext_dims(x, sub)[0]
-        return all(sub.dims[v] == h * x.dims[v] for v in x.quiver.vertices)
-    return is_power
+    xa = rep_power(x, a)
+    counts: Dict[object, int] = {}
+    failures: List[Tuple[object, SubmodulePoint]] = []
+    for key, d, h in targets:
+        counts[key] = count_submodules(xa, d, budget=budget)
+        if counts[key] != (0 if h is None else gaussian_binomial(a, h, x.field.p)):
+            for pt in enumerate_submodules(xa, d, budget=budget).points:
+                sub, _ = sub_representation(pt)
+                h_pt = hom_ext_dims(x, sub)[0]
+                if any(sub.dims[v] != h_pt * x.dims[v] for v in x.quiver.vertices):
+                    failures.append((key, pt))
+    return counts, failures
 
 
 def check_lemma1(x: Representation, a: int,
@@ -437,19 +439,11 @@ def check_lemma1(x: Representation, a: int,
     """Every submodule of x^a with the dimension vector of x is a copy of x.
 
     x must be a brick.  The lemma holds exactly when there are [a choose 1]_p
-    such submodules (see _power_test).  Only when the count is off are they
+    such submodules (see _check_powers); only when the count is off are they
     enumerated, and the U with dim Hom(x, U) != 1 are listed as failures.
     """
-    if a < 1:
-        raise ValueError("need at least one copy")
-    is_power = _power_test(x)
-    xa = rep_power(x, a)
-    count = count_submodules(xa, x.dim_vector, budget=budget)
-    failures: Tuple[SubmodulePoint, ...] = ()
-    if count != gaussian_binomial(a, 1, x.field.p):
-        report = enumerate_submodules(xa, x.dim_vector, budget=budget)
-        failures = tuple(pt for pt in report.points if not is_power(pt))
-    return SubmoduleIsoReport(not failures, count, failures)
+    counts, failures = _check_powers(x, a, [(1, x.dim_vector, 1)], budget)
+    return SubmoduleIsoReport(not failures, counts[1], tuple(pt for _, pt in failures))
 
 
 class Lemma2Report(Record):
@@ -476,8 +470,8 @@ def check_lemma2(x: Representation, a: int,
     For every w from 0 to a*n, all (w,w)-submodules U of x^a must be
     isomorphic to x^s with w = s*n; in particular none may exist when n does
     not divide w.  So the lemma holds at w exactly when the (w,w) count is
-    [a choose w/n]_p, or 0 when n does not divide w (see _power_test).  Only
-    a w whose count is off is enumerated, and its U with w != h*n for
+    [a choose w/n]_p, or 0 when n does not divide w (see _check_powers).
+    Only a w whose count is off is enumerated, and its U with w != h*n for
     h = dim Hom(x, U) are listed as failures.
     """
     shape = kronecker_shape(x.quiver)
@@ -487,18 +481,8 @@ def check_lemma2(x: Representation, a: int,
     n = x.dims[src]
     if x.dims[tgt] != n:
         raise ValueError("need equal dimensions at both vertices")
-    if a < 1:
-        raise ValueError("need at least one copy")
-    is_power = _power_test(x)
-    xa = rep_power(x, a)
-    counts: Dict[int, int] = {}
-    failures: List[Tuple[int, SubmodulePoint]] = []
-    for w in range(a * n + 1):
-        d = {src: w, tgt: w}
-        counts[w] = count_submodules(xa, d, budget=budget)
-        if counts[w] != (0 if w % n else gaussian_binomial(a, w // n, x.field.p)):
-            report = enumerate_submodules(xa, d, budget=budget)
-            failures.extend((w, pt) for pt in report.points if not is_power(pt))
+    targets = ((w, {src: w, tgt: w}, None if w % n else w // n) for w in range(a * n + 1))
+    counts, failures = _check_powers(x, a, targets, budget)
     return Lemma2Report(not failures, counts, tuple(failures))
 
 
@@ -507,10 +491,6 @@ class FullnessReport(Record):
     lhs: int    # dim Hom(n1, n2) on the Kronecker side
     rhs: int    # dim Hom(eta n1, eta n2)
     equal: bool
-
-    def to_json(self) -> dict:
-        return {"hom_dim_kronecker": self.lhs, "hom_dim_image": self.rhs,
-                "equal": self.equal}
 
 
 def check_eta_fullness(ctx: EtaContext, n1: Representation,
@@ -544,7 +524,7 @@ def check_bijection(ctx: EtaContext, n_rep: Representation,
                     budget: int = DEFAULT_BUDGET) -> BijectionReport:
     """Compare |G_{(1,1)}(N)| with |G_{x+y}(eta N)| for reduced N."""
     lhs = _bristle_count(n_rep, budget)
-    d = dim_add(ctx.xdim, ctx.ydim)
+    d = dim_add(ctx.x.dims, ctx.y.dims)
     rhs = count_submodules(_eta_module(ctx, n_rep), d, budget=budget)
     return BijectionReport(lhs, rhs, lhs == rhs)
 
@@ -575,11 +555,10 @@ def case1_quiver() -> Quiver:
                    Arrow("b1", "w", "2")))
 
 
-def case1_instance(field: FieldSpec, m: int = 1) -> EtaContext:
-    """Context built from a zero-extended preprojective and the new source simple."""
-    q = case1_quiver()
-    xq = kronecker_preprojective(m, field)
-    x, y, _n = case1_pair(q, "w", xq)
+def case1_instance(field: FieldSpec) -> EtaContext:
+    """Context built from the zero-extended (1,2) preprojective and the new
+    source simple."""
+    x, y, _n = case1_pair(case1_quiver(), "w", kronecker_preprojective(1, field))
     return make_eta_context(x, y)
 
 
@@ -665,28 +644,20 @@ def remark_counterexample_demo(field: FieldSpec, b: int = 1,
 
 
 def _x_plus_v_point(ctx: EtaContext, witness: EtaWitness) -> SubmodulePoint:
-    """The submodule mu(X + V) of the witness, V the (1,1) submodule of X.
+    """The submodule X + V of the witness, V the (1,1) submodule of X.
 
-    Needs a >= 2 copies of the (2,2) brick inside the witness; the point
-    takes all of copy one and the e_2-line of copy two, per vertex.
+    Needs a >= 2 copies of the (2,2) brick inside the witness.  In
+    build_eta's block layout entry i of X copy c is coordinate i*a + c, so
+    per vertex the point is spanned by the units at i*a for i < x_v (all of
+    copy one) and at (x_v - 1)*a + 1 (the e_2-line of copy two).
     """
-    if witness.a < 2:
+    a, m = witness.a, witness.m
+    if a < 2:
         raise ValueError("the explicit counterexample needs at least two X copies")
-    m = witness.m
-    field = m.field
     subs = {}
     for v in m.quiver.vertices:
         xv = ctx.x.dims[v]
-        # coordinates of X^a are copy-major: copy c holds c*xv .. c*xv + xv - 1
-        rows = []
-        for i in range(xv):
-            e = [field.zero] * (witness.a * xv)
-            e[0 * xv + i] = field.one
-            rows.append(e)
-        e = [field.zero] * (witness.a * xv)
-        e[1 * xv + (xv - 1)] = field.one   # the e_2 line of copy two
-        rows.append(e)
-        inside = Matrix(field, rows, ncols=witness.a * xv)
-        image = inside * witness.mu.maps[v].transpose()
-        subs[v] = row_space(image)
+        units = [i * a for i in range(xv)] + [(xv - 1) * a + 1]
+        subs[v] = Matrix(m.field, [[int(j == u) for j in range(m.dims[v])] for u in units],
+                         ncols=m.dims[v])
     return SubmodulePoint(m, subs)

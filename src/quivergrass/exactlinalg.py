@@ -47,11 +47,11 @@ class Record:
     """Read-only value whose fields are its class's __slots__, in order.
 
     The constructor takes the fields in that order.  Records of one class
-    compare equal and hash alike field by field, repr as
-    Name(field=value, ...), and refuse assignment with AttributeError.  A
-    subclass that checks its fields does so in its own __init__ and stores
-    them with _set.  One that keeps derived state in slots after its fields
-    overrides _fields to return the fields alone.
+    compare equal and hash alike field by field (a record equals itself at
+    once), repr as Name(field=value, ...), and refuse assignment with
+    AttributeError.  A subclass that checks its fields does so in its own
+    __init__ and stores them with _set.  One that keeps derived state in
+    slots after its fields overrides _fields to return the fields alone.
     """
 
     __slots__ = ()
@@ -70,7 +70,11 @@ class Record:
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
 
+    # every Matrix product compares fields and every Representation compares
+    # quivers, hence the identity test
     def __eq__(self, other):
+        if self is other:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._fields() == other._fields()
@@ -113,17 +117,6 @@ class FieldSpec(Record):
                 raise ValueError("rational field takes no characteristic")
         else:
             raise ValueError(f"unknown field kind {kind!r}")
-
-    # every Matrix product and sum compares fields, hence the identity test
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not FieldSpec:
-            return NotImplemented
-        return self.kind == other.kind and self.p == other.p
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.p))
 
     @classmethod
     def prime(cls, p: int) -> "FieldSpec":

@@ -103,12 +103,11 @@ class _Budget:
 
 
 class GrassmannianReport(Record):
-    __slots__ = ("parent", "dimvec", "points", "count", "field")
+    __slots__ = ("parent", "dimvec", "points", "count")
     parent: Representation
     dimvec: DimVector
     points: Tuple[SubmodulePoint, ...]
     count: int
-    field: FieldSpec
 
     def to_json(self) -> dict:
         return {
@@ -522,7 +521,7 @@ def enumerate_submodules(m: Representation, d: DimVector,
     # every path emits canonical RREF subspaces, one per vertex
     pts = [SubmodulePoint._trusted(m, s) for _, s in _points(m, d, budget)]
     pts.sort(key=lambda pt: pt.canonical_key())
-    return GrassmannianReport(m, dict(d), tuple(pts), len(pts), m.field)
+    return GrassmannianReport(m, dict(d), tuple(pts), len(pts))
 
 
 def count_submodules(m: Representation, d: DimVector,

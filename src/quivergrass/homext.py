@@ -30,17 +30,6 @@ from .quiverrep import (
 )
 
 
-class HomBasis(Record):
-    __slots__ = ("source", "target", "basis")
-    source: Representation
-    target: Representation
-    basis: Tuple[Morphism, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
 class ExtCocycle(Record):
     """One cocycle: a matrix N_{t(a)} x M_{s(a)} per arrow a.
 
@@ -59,11 +48,6 @@ class ExtCocycle(Record):
             got = self.components[a.id].shape
             if got != want:
                 raise ValueError(f"cocycle component at {a.id}: shape {got}, expected {want}")
-
-
-class Ext1Result(NamedTuple):
-    dim: int
-    basis: Tuple[ExtCocycle, ...]
 
 
 class _Differential(NamedTuple):
@@ -145,13 +129,12 @@ def _unflatten(vec, blocks, field: FieldSpec) -> Dict[str, Matrix]:
             for key, (base, nr, nc) in blocks.items()}
 
 
-def hom_basis(m: Representation, n: Representation) -> HomBasis:
+def hom_basis(m: Representation, n: Representation) -> Tuple[Morphism, ...]:
     """Canonical basis of the space of homomorphisms m -> n."""
     diff = _differential(m, n)
     blocks = {v: (diff.dom_bases[v], n.dims[v], m.dims[v]) for v in m.quiver.vertices}
-    basis = tuple(Morphism(m, n, _unflatten(vec, blocks, m.field))
-                  for vec in kernel_basis(diff.matrix).entries)
-    return HomBasis(m, n, basis)
+    return tuple(Morphism(m, n, _unflatten(vec, blocks, m.field))
+                 for vec in kernel_basis(diff.matrix).entries)
 
 
 def hom_ext_dims(m: Representation, n: Representation) -> Tuple[int, int]:
@@ -161,8 +144,8 @@ def hom_ext_dims(m: Representation, n: Representation) -> Tuple[int, int]:
     return diff.d0 - r, diff.d1 - r
 
 
-def ext1(m: Representation, n: Representation) -> Ext1Result:
-    """Dimension and canonical cocycle basis of Ext1(m, n).
+def ext1(m: Representation, n: Representation) -> Tuple[ExtCocycle, ...]:
+    """Canonical cocycle basis of Ext1(m, n).
 
     The cokernel of d0 is presented by the standard basis vectors sitting at
     the non-pivot coordinates of the RREF of the image (row space of the
@@ -170,19 +153,14 @@ def ext1(m: Representation, n: Representation) -> Ext1Result:
     deterministic.
     """
     diff = _differential(m, n)
-    res = rref(diff.matrix.transpose())
-    pivots = set(res.pivots)
+    pivots = set(rref(diff.matrix.transpose()).pivots)
     field = m.field
     blocks = {a.id: (diff.cod_bases[a.id], n.dims[a.target], m.dims[a.source])
               for a in m.quiver.arrows}
-    basis = []
-    for coord in range(diff.d1):
-        if coord in pivots:
-            continue
-        vec = [field.zero] * diff.d1
-        vec[coord] = field.one
-        basis.append(ExtCocycle(m, n, _unflatten(vec, blocks, field)))
-    return Ext1Result(len(basis), tuple(basis))
+    one, zero = field.one, field.zero
+    return tuple(ExtCocycle(m, n, _unflatten([one if i == coord else zero
+                                              for i in range(diff.d1)], blocks, field))
+                 for coord in range(diff.d1) if coord not in pivots)
 
 
 def euler_form(q: Quiver, d: DimVector, e: DimVector) -> int:
@@ -227,14 +205,14 @@ def has_brick_summand(m: Representation, y: Representation) -> bool:
         raise ValueError("summand test requires a brick to look for")
     if m.is_zero:
         return False
-    into = hom_basis(y, m).basis
+    into = hom_basis(y, m)
     if not into:
         return False
     v = next(w for w in y.quiver.vertices if y.dims[w])
     cols = [tuple(row[0] for row in g.maps[v].entries) for g in into]
     row_times = m.field.row_times
     return any(any(row_times(f.maps[v].entries[0], cols))
-               for f in hom_basis(m, y).basis)
+               for f in hom_basis(m, y))
 
 
 def is_reduced_kronecker(n: Representation) -> bool:

@@ -78,17 +78,6 @@ class Quiver(Record):
     def _fields(self) -> tuple:
         return (self.vertices, self.arrows)
 
-    # every Representation and Morphism compares quivers, hence the identity test
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not Quiver:
-            return NotImplemented
-        return self.vertices == other.vertices and self.arrows == other.arrows
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.arrows))
-
     def arrows_into(self, v: str) -> List[Arrow]:
         return [a for a in self.arrows if a.target == v]
 

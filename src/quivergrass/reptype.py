@@ -39,7 +39,8 @@ def _underlying(q: Quiver):
 
 
 def _arm_lengths(adj: Dict[str, set], center: str) -> List[int]:
-    """Arm lengths (edge counts) of a tree star, walked from the center."""
+    """Arm lengths (edge counts) of a tree star, walked from the center, its
+    one vertex of degree >= 3: every other vertex has degree at most 2."""
     arms = []
     for start in adj[center]:
         length = 1
@@ -47,10 +48,6 @@ def _arm_lengths(adj: Dict[str, set], center: str) -> List[int]:
         while True:
             nxt = [w for w in adj[cur] if w != prev]
             if not nxt:
-                break
-            if len(nxt) > 1:
-                # not a plain arm; caller only uses this on stars
-                length = -1
                 break
             prev, cur = cur, nxt[0]
             length += 1

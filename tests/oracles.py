@@ -132,7 +132,7 @@ def is_isomorphic(m1, m2):
         return False
     if m1.total_dim == 0:
         return True
-    basis = hom_basis(m1, m2).basis
+    basis = hom_basis(m1, m2)
     if not (len(basis) == hom_ext_dims(m2, m1)[0] == hom_ext_dims(m1, m1)[0]
             == hom_ext_dims(m2, m2)[0]):
         return False
@@ -161,7 +161,7 @@ def is_brick_power(m, x, s):
         raise ValueError("power test requires a brick")
     if any(m.dims[v] != s * x.dims[v] for v in m.quiver.vertices):
         return False
-    basis = hom_basis(x, m).basis
+    basis = hom_basis(x, m)
     if len(basis) != s:
         return False
     return all(hstack([f.maps[v] for f in basis]).rank() == m.dims[v]
@@ -176,8 +176,8 @@ def has_brick_summand_by_composition(m, y):
     elements is nonzero.  Every pair is composed at every vertex.
     """
     _check_pair(m, y)
-    into = hom_basis(y, m).basis
-    back = hom_basis(m, y).basis
+    into = hom_basis(y, m)
+    back = hom_basis(m, y)
     return any(not (f.maps[v] * g.maps[v]).is_zero
                for f in back for g in into for v in y.quiver.vertices)
 

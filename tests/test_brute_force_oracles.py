@@ -75,7 +75,7 @@ def _combination(basis, coeffs, source, target):
 
 def injective_hom_with_quotient_by_search(ctx, u):
     """Some injective X -> u, first nonzero coefficient 1, with cokernel Y."""
-    basis = hom_basis(ctx.x, u).basis
+    basis = hom_basis(ctx.x, u)
     for coeffs in projective_coefficients(len(basis), u.field.p):
         f = Morphism(ctx.x, u, _combination(basis, coeffs, ctx.x, u))
         if not f.is_injective():
@@ -88,7 +88,7 @@ def injective_hom_with_quotient_by_search(ctx, u):
 
 def is_indecomposable_by_idempotents(u):
     """No idempotent endomorphism besides zero and the identity."""
-    basis = hom_basis(u, u).basis
+    basis = hom_basis(u, u)
     if len(basis) == 1:
         return True
     ident = {v: Matrix.identity(u.field, u.dims[v]) for v in u.quiver.vertices}
@@ -102,7 +102,7 @@ def is_indecomposable_by_idempotents(u):
 
 
 def is_E_bristle_by_search(ctx, u):
-    if u.dims != dim_add(ctx.xdim, ctx.ydim):
+    if u.dims != dim_add(ctx.x.dims, ctx.y.dims):
         return False
     return (injective_hom_with_quotient_by_search(ctx, u)
             and is_indecomposable_by_idempotents(u))
@@ -158,14 +158,14 @@ def test_is_E_bristle_matches_search():
     cases = []   # (ctx, candidate)
     for field, bs in ((F3, (1, 2, 3)), (F5, (1, 2))):
         ctx = make_eta_context(remark_Xprime(1, 2, field), case2_Y(field))
-        d = dim_add(ctx.xdim, ctx.ydim)
+        d = dim_add(ctx.x.dims, ctx.y.dims)
         for b in bs:
             m = _rebase(build_eta(ctx, remark_N(field, b)).m, rng)
             cases += [(ctx, u) for _, u in _submodules(m, d)]
     for field in (F2, F3, F5):
         ctx = case1_instance(field)
         m = _rebase(build_eta(ctx, regular_N(field)).m, rng)
-        cases += [(ctx, u) for _, u in _submodules(m, dim_add(ctx.xdim, ctx.ydim))]
+        cases += [(ctx, u) for _, u in _submodules(m, dim_add(ctx.x.dims, ctx.y.dims))]
     ctx = case2_instance(F3)
     bristle = make_representation(make_kronecker(2), F3, {"1": 1, "2": 1},
                                   {"a1": [[1]], "a2": [[0]]})
@@ -204,7 +204,7 @@ def test_is_E_bristle_needs_injective_and_surjective_spans():
             middle = kron11(*(rng.randrange(3) for _ in range(3)))
             u = _rebase(_glue(sub, _glue(middle, quot, rng), rng), rng)
             assert is_E_bristle(ctx, u) == is_E_bristle_by_search(ctx, u), u.matrices
-            into, onto = hom_basis(ctx.x, u).basis, hom_basis(u, ctx.y).basis
+            into, onto = hom_basis(ctx.x, u), hom_basis(u, ctx.y)
             sharp += (len(into) == len(onto) == 1 and is_brick(u)
                       and not (into[0].is_injective() and onto[0].is_surjective()))
         assert sharp > 0

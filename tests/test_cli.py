@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from quivergrass import cli, grassmann
+from quivergrass import cli, construct, grassmann
 from quivergrass.cli import main
 from quivergrass.construct import (
     case2_X,
@@ -431,6 +431,27 @@ def test_demo_field_flag(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, ["demo", "case2", "--field", "bogus"])
     assert code == 1
+
+
+def test_demo_refuses_the_rational_field(capsys, monkeypatch):
+    # every demo enumerates a Grassmannian, which needs F_p, so the field is
+    # refused before any context is built
+    def refuse(*args):
+        raise AssertionError("context built")
+    monkeypatch.setattr(construct, "make_eta_context", refuse)
+    for which in ("case2", "case1", "remark"):
+        assert run_cli(capsys, ["demo", which, "--field", "rational"]) == (
+            1, "", "error: field must be 'p=<prime>', got 'rational'\n")
+
+
+def test_text_output_of_a_point_with_an_empty_subspace(capsys, tmp_path):
+    # a list of lists nests one level per list; the empty subspace at the
+    # source is a blank line
+    code, out, _ = run_cli(capsys, ["grassmannian", "list", "--rep", bristle_file(tmp_path),
+                                    "--dimvec", '{"1": 0, "2": 1}', "--output", "text"])
+    assert code == 0
+    assert out == ("count: 1\ndimvec:\n  1: 0\n  2: 1\npoints:\n  [0]:\n    1:\n\n"
+                   "    2:\n      [0]:\n        [0]: 1\n")
 
 
 def test_console_script_runs_deterministically(tmp_path):

@@ -115,7 +115,7 @@ def test_remark_Xprime():
     assert xp.matrices["a3"].entries == ((0, 0), (1, 0))
     assert is_brick(xp)
     assert are_orthogonal_bricks(xp, case2_Y(F3))
-    assert ext1(case2_Y(F3), xp).dim == 2
+    assert len(ext1(case2_Y(F3), xp)) == 2
     # exactly one (1,1) submodule, spanned by e_2 at both vertices
     report = enumerate_submodules(xp, {"1": 1, "2": 1})
     assert report.count == 1
@@ -173,8 +173,8 @@ def test_make_eta_context():
     ctx = case2_instance(F3)
     assert ctx.n == 2
     assert len(ctx.cocycles) == 2
-    assert ctx.xdim == {"1": 2, "2": 2}
-    assert ctx.ydim == {"1": 1, "2": 1}
+    assert ctx.x.dims == {"1": 2, "2": 2}
+    assert ctx.y.dims == {"1": 1, "2": 1}
     for eps in ctx.cocycles:
         for arr in ctx.x.quiver.arrows:
             assert eps.components[arr.id].nrows == 2
@@ -217,7 +217,7 @@ def test_build_eta_dimension_vector():
     w = build_eta(ctx, n)
     assert (w.a, w.b) == (2, 2)
     for v in ("1", "2"):
-        assert w.m.dims[v] == 2 * ctx.xdim[v] + 2 * ctx.ydim[v]
+        assert w.m.dims[v] == 2 * ctx.x.dims[v] + 2 * ctx.y.dims[v]
     assert w.mu.is_injective()
     assert w.pi.is_surjective()
     for v in ("1", "2"):
@@ -313,6 +313,9 @@ def test_is_E_bristle():
     assert not is_E_bristle(ctx, direct_sum(ctx.x, ctx.y))   # decomposable
     assert not is_E_bristle(ctx, ctx.x)                      # wrong dimensions
     assert not is_E_bristle(ctx, rep_power(ctx.y, 3))        # no X inside
+    for u in (case2_Y(F5), simple(make_kronecker(2), "1", F3)):
+        with pytest.raises(ValueError, match="wrong quiver or field"):
+            is_E_bristle(ctx, u)
 
 
 # -- checkers ----------------------------------------------------------------
@@ -324,10 +327,13 @@ def test_check_lemma1_counts():
     assert (r2.holds, r2.count) == (True, 3)
     assert (r3.holds, r3.count) == (True, 4)
     assert r2.failures == () and r3.failures == ()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one copy"):
         check_lemma1(ctx2.x, 0)
-    with pytest.raises(ValueError):
-        check_lemma1(rep_power(ctx2.x, 2), 1)   # not a brick
+    with pytest.raises(ValueError, match="requires a brick"):
+        check_lemma1(rep_power(ctx2.x, 2), 1)
+    # the copy count is checked before the brick
+    with pytest.raises(ValueError, match="at least one copy"):
+        check_lemma1(rep_power(ctx2.x, 2), 0)
 
 
 def test_check_lemma2_counts():
@@ -342,6 +348,14 @@ def test_check_lemma2_counts():
         check_lemma2(kronecker_preprojective(1, F3), 1)   # dims not equal
     with pytest.raises(ValueError):
         check_lemma2(simple(case1_quiver(), "w", F3), 1)  # not Kronecker shaped
+    for a in (0, -1):
+        with pytest.raises(ValueError, match="at least one copy"):
+            check_lemma2(x, a)
+    # the copy count is checked before the brick
+    with pytest.raises(ValueError, match="requires a brick"):
+        check_lemma2(rep_power(x, 2), 1)
+    with pytest.raises(ValueError, match="at least one copy"):
+        check_lemma2(rep_power(x, 2), 0)
 
 
 def test_lemma_checks_enumerate_only_when_a_count_is_off(monkeypatch):

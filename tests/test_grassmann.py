@@ -562,6 +562,27 @@ def test_spin_walk_budget_on_the_case2_witness():
         list(filter_walk(m, d, setup, walk, budget, walk_sinks=False))
 
 
+def test_probe_falls_back_to_the_scan():
+    # K(2) on (4,4) over F_3 with T = diag(C, C), C the companion of x^2 + 1:
+    # T has no eigenvalue in F_3, so the probe charges 4 kernels, finds no
+    # split operator set, and the scan runs.  The (2,2) points are the 10
+    # F_9-lines of F_9^2, and the probe's charges stay spent
+    ident = [[int(i == j) for j in range(4)] for i in range(4)]
+    cc = [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]]
+    m = make_representation(make_kronecker(2), F3, {"1": 4, "2": 4},
+                            {"a1": ident, "a2": cc})
+    d = {"1": 2, "2": 2}
+    budget = _Budget(DEFAULT_BUDGET)
+    assert _choose_engine(m, d, _invariant_setup(m, d), budget) is None
+    assert budget.used == 4
+    assert count_submodules(m, d) == 10
+    assert_matches_oracle(m, d)
+    for run in (count_submodules, enumerate_submodules):
+        run(m, d, budget=144)
+        with pytest.raises(BudgetExceeded):
+            run(m, d, budget=143)
+
+
 def test_invariant_strategy_rejected_when_inapplicable():
     k2 = make_kronecker(2)
     m = projective(k2, "1", F3)   # dims differ, engine cannot apply

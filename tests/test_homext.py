@@ -57,8 +57,8 @@ def test_hom_basis_matches_dims():
         m = random_representation(k2, F3, rng, max_dim=3)
         n = random_representation(k2, F3, rng, max_dim=3)
         basis = hom_basis(m, n)
-        assert basis.dim == hom_ext_dims(m, n)[0]
-        for f in basis.basis:
+        assert len(basis) == hom_ext_dims(m, n)[0]
+        for f in basis:
             assert f.source == m and f.target == n
 
 
@@ -87,7 +87,7 @@ def test_rank_path_matches_rref_path_on_rebased_sums():
                     for _ in range(2))
             d = _differential(m, n).matrix
             assert d.rank() == rref(d).rank == d.transpose().rank()
-            assert hom_ext_dims(m, n) == (hom_basis(m, n).dim, ext1(m, n).dim)
+            assert hom_ext_dims(m, n) == (len(hom_basis(m, n)), len(ext1(m, n)))
 
 
 def test_sparse_differential_matches_dense_builder():
@@ -159,9 +159,9 @@ def test_ext1_cocycles_are_independent():
     k3 = make_kronecker(3)
     s1 = simple(k3, "1", F3)
     s2 = simple(k3, "2", F3)
-    res = ext1(s1, s2)
-    assert res.dim == 3
-    for eps in res.basis:
+    basis = ext1(s1, s2)
+    assert len(basis) == 3
+    for eps in basis:
         assert not cocycle_is_coboundary(eps)
         assert set(eps.components) == {"a1", "a2", "a3"}
 
@@ -189,7 +189,7 @@ def test_ext1_zero_for_zero_module():
     m = projective(k2, "1", F3)
     assert hom_ext_dims(z, m) == (0, 0)
     assert hom_ext_dims(m, z) == (0, 0)
-    assert ext1(m, z).dim == 0
+    assert ext1(m, z) == ()
 
 
 def test_is_brick():
